@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .linalg import MacrofieldError
+from .states import _bloch_entries
 
 
 class OptimizerFailed(MacrofieldError):
@@ -50,8 +51,7 @@ def project_ball(v: np.ndarray) -> np.ndarray:
 
 
 def rho_from_ball(v: np.ndarray) -> np.ndarray:
-    x, y, z = project_ball(v)
-    return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=np.complex128)
+    return _bloch_entries(*project_ball(v))
 
 
 def rho_from_purification(params: np.ndarray, d: int) -> np.ndarray:

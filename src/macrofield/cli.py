@@ -1,9 +1,8 @@
 """Experiment runner: one subcommand per experiment, CSV or JSON reports.
 
 Every run echoes its parsed configuration, so a report can be replayed
-bit-for-bit from its own header. Records are always ordered by their leading
-key even when the per-n work is spread over worker threads. Exit codes:
-0 success, 2 bad input, 3 numerical failure.
+bit-for-bit from its own header. Records are ordered by their leading key.
+Exit codes: 0 success, 2 bad input, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,34 +10,22 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from ._optim import OptimizerFailed
 from .definetti import DiscreteMixture, field_of_states_check, fit_mixture, mixture_state
-from .linalg import EigFailed, MacrofieldError, Operator, SiteSpace, spectral_norm
-from .macrolimit import (
-    NormGapRecord,
-    born_curve,
-    commutator_decay,
-    fit_decay_exponent,
-    product_state_sup,
-    window_mass,
-)
-from .sections import FrequencySpec, SymmetricSection, frequency_section, materialize
+from .linalg import PAULI, EigFailed, MacrofieldError, Operator, SiteSpace
+from .macrolimit import born_curve, commutator_decay, fit_decay_exponent, norm_gap, window_mass
+from .sections import FrequencySpec, SymmetricSection, frequency_section
 from .states import BlochVector, PureState, bloch_to_density, density_to_bloch
 from .stochastics import (
-    And,
     BernoulliSpec,
-    Leaf,
-    Not,
-    Or,
+    leaves,
     quantum_classical_agreement,
     random_expression,
     slln_check,
@@ -55,28 +42,23 @@ class BadFlag(MacrofieldError):
     pass
 
 
-_PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    "P0": np.diag([1.0, 0.0]).astype(np.complex128),
-    "P1": np.diag([0.0, 1.0]).astype(np.complex128),
-}
+# the one-site letters of the descriptor grammar; the identity is not one
+_LETTERS = ("X", "Y", "Z", "P0", "P1")
 
 _SECTION_RE = re.compile(r"(avg|sym2|freq)\(([^)]*)\)\Z")
 
 
 def _letter(tok: str) -> np.ndarray:
     key = tok.strip().upper()
-    if key not in _PAULI:
-        raise BadFlag(f"unknown one-site letter {tok!r}; use X, Y, Z, P0, P1")
-    return _PAULI[key]
+    if key not in _LETTERS:
+        raise BadFlag(f"unknown one-site letter {tok!r}; use {', '.join(_LETTERS)}")
+    return PAULI[key].entries
 
 
 def _parse_section(text: str) -> tuple[SymmetricSection, str]:
     """Descriptor to section: avg(L), sym2(L,L), freq(0|1), or a bare letter."""
     src = text.strip()
-    if src.upper() in _PAULI:
+    if src.upper() in _LETTERS:
         src = f"avg({src})"
     m = _SECTION_RE.match(src)
     if m is None:
@@ -97,7 +79,7 @@ def _parse_section(text: str) -> tuple[SymmetricSection, str]:
     if body.strip() not in ("0", "1"):
         raise BadFlag(f"freq takes outcome 0 or 1, got {text!r}")
     k = int(body)
-    proj = _PAULI["P1"] if k else _PAULI["P0"]
+    proj = PAULI["P1"].entries if k else PAULI["P0"].entries
     spec = FrequencySpec(2, Operator(SiteSpace(2, 1), proj))
     return frequency_section(spec), f"freq({k})"
 
@@ -111,14 +93,16 @@ def _parse_n_list(text: str) -> list[int]:
             lo, hi = int(lo_txt), int(hi_txt)
             if hi < lo:
                 raise BadFlag(f"empty site range {text!r}")
-            vals = list(range(lo, hi + 1))
+            vals = range(lo, hi + 1)
         else:
             vals = sorted({int(tok) for tok in src.split(",")})
     except ValueError:
         raise BadFlag(f"bad site list {text!r}") from None
-    if not vals:
-        raise BadFlag(f"bad site list {text!r}")
-    return vals
+    # both ends must be valid site counts, and qubit sites have the largest
+    # dense cap; checking before a range is expanded makes a huge one fail fast
+    SiteSpace(2, vals[0])
+    SiteSpace(2, vals[-1])
+    return list(vals)
 
 
 def _parse_psi(text: str) -> PureState:
@@ -153,10 +137,8 @@ def _parse_atoms(text: str) -> tuple[DiscreteMixture, str]:
     if not pairs:
         raise BadFlag("no atoms given")
     mix = DiscreteMixture(tuple(pairs))
-    canon = ";".join(
-        f"{w!r}:{density_to_bloch(rho).x!r},{density_to_bloch(rho).y!r},{density_to_bloch(rho).z!r}"
-        for w, rho in mix.atoms
-    )
+    blochs = [(w, density_to_bloch(rho)) for w, rho in mix.atoms]
+    canon = ";".join(f"{w!r}:{b.x!r},{b.y!r},{b.z!r}" for w, b in blochs)
     return mix, canon
 
 
@@ -166,42 +148,6 @@ def _freq_spec(d: int, lam: int) -> FrequencySpec:
     proj = np.zeros((d, d), dtype=np.complex128)
     proj[lam, lam] = 1.0
     return FrequencySpec(d, Operator(SiteSpace(d, 1), proj))
-
-
-def _worker_count(n_items: int) -> int:
-    raw = os.environ.get("MACROFIELD_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise BadFlag(f"MACROFIELD_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise BadFlag(f"MACROFIELD_THREADS must be >= 1, got {cap}")
-    return max(1, min(cap, n_items))
-
-
-def _map_ordered(fn, items):
-    """Apply fn to each item, possibly on threads; results keep item order."""
-    workers = _worker_count(len(items))
-    if workers == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _count_leaves(expr) -> int:
-    total, stack = 0, [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            total += 1
-        elif isinstance(node, Not):
-            stack.append(node.inner)
-        elif isinstance(node, (And, Or)):
-            stack.extend((node.left, node.right))
-    return total
 
 
 def _clean(value):
@@ -220,10 +166,9 @@ def _cmd_born_converge(args):
     n_list = _parse_n_list(args.n)
     born = float(abs(psi.amplitudes[args.lam]) ** 2)
     tol = args.tol if args.tol is not None else 1e-10
-    rows = _map_ordered(lambda n: born_curve(psi, spec, [n])[0], n_list)
     records = [
         {"n": int(n), "value": float(v), "born": born, "abs_error": abs(float(v) - born)}
-        for n, v in rows
+        for n, v in born_curve(psi, spec, n_list)
     ]
     worst = max(r["abs_error"] for r in records)
     config = {
@@ -242,7 +187,7 @@ def _cmd_commutator_decay(args):
     s1, canon1 = _parse_section(args.seed1)
     s2, canon2 = _parse_section(args.seed2)
     n_list = _parse_n_list(args.n)
-    recs = _map_ordered(lambda n: commutator_decay(s1, s2, [n])[0], n_list)
+    recs = commutator_decay(s1, s2, n_list)
     records = [
         {"n": r.n, "value": float(r.value), "scaled": float(r.scaled)} for r in recs
     ]
@@ -256,15 +201,6 @@ def _cmd_commutator_decay(args):
 def _cmd_norm_gap(args):
     section, canon = _parse_section(args.section)
     n_list = _parse_n_list(args.n)
-    sup = product_state_sup(section, section.m)
-
-    def one(n: int) -> NormGapRecord:
-        if n < section.m:
-            raise BadFlag(f"n={n} below the seed order {section.m}")
-        exact = spectral_norm(materialize(section, n))
-        return NormGapRecord(n, exact, sup, exact - sup)
-
-    recs = _map_ordered(one, n_list)
     records = [
         {
             "n": r.n,
@@ -272,7 +208,7 @@ def _cmd_norm_gap(args):
             "product_sup": float(r.product_sup),
             "gap": float(r.gap),
         }
-        for r in recs
+        for r in norm_gap(section, n_list)
     ]
     gaps = [r["gap"] for r in records]
     config = {"section": canon, "n_list": n_list}
@@ -288,10 +224,10 @@ def _cmd_window_mass(args):
     n_list = _parse_n_list(args.n)
     if args.epsilon <= 0.0:
         raise BadFlag(f"window half-width must be positive, got {args.epsilon}")
-    recs = _map_ordered(lambda n: window_mass(psi, spec, n, args.epsilon), n_list)
-    records = [
-        {"n": r.n, "epsilon": float(r.epsilon), "mass": float(r.mass)} for r in recs
-    ]
+    records = []
+    for n in n_list:
+        r = window_mass(psi, spec, n, args.epsilon)
+        records.append({"n": r.n, "epsilon": float(r.epsilon), "mass": float(r.mass)})
     config = {
         "psi": [float(a.real) for a in psi.amplitudes],
         "lambda": args.lam,
@@ -342,7 +278,7 @@ def _cmd_boolean_check(args):
             {
                 "instance": idx,
                 "sites": args.sites,
-                "leaves": _count_leaves(expr),
+                "leaves": sum(1 for _ in leaves(expr)),
                 "quantum": float(quantum),
                 "classical": float(classical),
                 "abs_error": abs(float(quantum) - float(classical)),

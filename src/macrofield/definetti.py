@@ -18,11 +18,12 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from ._optim import maximize_over_states, project_ball, rho_from_ball
-from .linalg import MacrofieldError, SiteSpace, SpaceMismatch
+from .linalg import PAULI, MacrofieldError, SiteSpace, SpaceMismatch, kron_power
 from .sections import BadOrder, SymmetricSection
 from .states import (
     DensityMatrix,
     NSiteState,
+    _bloch_coords,
     a_infinity,
     expect,
     is_permutation_invariant,
@@ -95,26 +96,8 @@ class FitResult:
                 raise ValueError("recorded residuals must be nonincreasing")
 
 
-def _kron_power(arr: np.ndarray, n: int) -> np.ndarray:
-    # broadcast form of the Kronecker power; np.kron's shape plumbing is too
-    # slow for the optimizer loops that call this millions of times
-    out = arr
-    d = arr.shape[0]
-    for _ in range(n - 1):
-        m = out.shape[0]
-        out = (out[:, None, :, None] * arr[None, :, None, :]).reshape(m * d, m * d)
-    return out
-
-
 # one-site basis I/2, X/2, Y/2, Z/2; rho = [1, x, y, z] against this basis
-_HALF_BASIS = 0.5 * np.stack(
-    [
-        np.eye(2, dtype=np.complex128),
-        np.array([[0, 1], [1, 0]], dtype=np.complex128),
-        np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-        np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    ]
-)
+_HALF_BASIS = 0.5 * np.stack([PAULI[k].entries for k in "IXYZ"])
 # column alpha holds h_alpha[j, i] at flat row index i*2 + j
 _MOMENT_MAT = np.stack([_HALF_BASIS[a].T.reshape(4) for a in range(4)], axis=1)
 
@@ -148,7 +131,7 @@ def mixture_state(mix: DiscreteMixture, n: int) -> NSiteState:
     space = SiteSpace(mix.d, n)
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
     for w, rho in mix.atoms:
-        out += w * _kron_power(rho.entries, n)
+        out += w * kron_power(rho.entries, n)
     return NSiteState(space, out, is_symmetric=True, validate=False)
 
 
@@ -225,16 +208,6 @@ def _merge_atoms(atoms: list[np.ndarray], weights: np.ndarray, delta: float):
     return atoms, weights
 
 
-def _bloch_of(arr: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            float((arr[0, 1] + arr[1, 0]).real),
-            float((1j * (arr[0, 1] - arr[1, 0])).real),
-            float((arr[0, 0] - arr[1, 1]).real),
-        ]
-    )
-
-
 def _residual_from_blocks(t_arr: np.ndarray, blocks: list[np.ndarray], weights) -> float:
     mix = np.zeros_like(t_arr)
     for w, b in zip(weights, blocks):
@@ -258,19 +231,14 @@ def _refine(t_vec: np.ndarray, n: int, blochs, weights):
         out = -t_vec
         for i in range(k):
             v = np.concatenate(([1.0], x[k + 3 * i : k + 3 * i + 3]))
-            m = v
-            for _ in range(n - 1):
-                m = (m[:, None] * v[None, :]).ravel()
-            out = out + x[i] * m
+            out = out + x[i] * kron_power(v, n)
         return out
 
     def _jac(x: np.ndarray) -> np.ndarray:
         jac = np.empty((t_vec.size, 4 * k))
         for i in range(k):
             v = np.concatenate(([1.0], x[k + 3 * i : k + 3 * i + 3]))
-            pw = [np.ones(1)]
-            for _ in range(n):
-                pw.append((pw[-1][:, None] * v[None, :]).ravel())
+            pw = [np.ones(1)] + [kron_power(v, p) for p in range(1, n + 1)]
             jac[:, i] = pw[n]
             for c in range(3):
                 acc = np.zeros(t_vec.size)
@@ -360,23 +328,22 @@ def fit_mixture(
             r_tensor = _pauli_tensor(resid_arr, n)
 
             def correlation(entries: np.ndarray, c=r_tensor) -> float:
-                b = _bloch_of(entries)
-                return _moment_eval(c, np.array([1.0, b[0], b[1], b[2]]))
+                return _moment_eval(c, np.array([1.0, *_bloch_coords(entries)]))
 
         else:
 
             def correlation(entries: np.ndarray, r=resid_arr) -> float:
-                return float(np.einsum("ij,ji->", r, _kron_power(entries, n)).real)
+                return float(np.einsum("ij,ji->", r, kron_power(entries, n)).real)
 
         # a loose vertex suffices: weights and refinement fix everything later
         _, vertex = maximize_over_states(correlation, 2, xatol=1e-5, fatol=1e-10)
         cand_atoms = atoms + [vertex]
-        cand_blocks = blocks + [_kron_power(vertex, n)]
+        cand_blocks = blocks + [kron_power(vertex, n)]
         w0 = np.append(weights, 0.0) if atoms else None
         cand_w = _solve_weights(t_arr, cand_blocks, weight_iters, w0=w0)
         if _can_refine(len(cand_atoms)):
-            r_atoms, r_w = _refine(t_vec, n, [_bloch_of(a) for a in cand_atoms], cand_w)
-            r_blocks = [_kron_power(a, n) for a in r_atoms]
+            r_atoms, r_w = _refine(t_vec, n, [_bloch_coords(a) for a in cand_atoms], cand_w)
+            r_blocks = [kron_power(a, n) for a in r_atoms]
             r_w = _solve_weights(t_arr, r_blocks, weight_iters, w0=r_w)
             if _residual_from_blocks(t_arr, r_blocks, r_w) <= _residual_from_blocks(
                 t_arr, cand_blocks, cand_w
@@ -384,7 +351,7 @@ def fit_mixture(
                 cand_atoms, cand_blocks, cand_w = r_atoms, r_blocks, r_w
         merged_atoms, cand_w = _merge_atoms(cand_atoms, cand_w, merge_delta)
         if len(merged_atoms) < len(cand_atoms):
-            cand_blocks = [_kron_power(a, n) for a in merged_atoms]
+            cand_blocks = [kron_power(a, n) for a in merged_atoms]
             cand_w = _solve_weights(t_arr, cand_blocks, weight_iters, w0=cand_w)
         cand_atoms = merged_atoms
         resid = _residual_from_blocks(t_arr, cand_blocks, cand_w)
@@ -417,12 +384,12 @@ def fit_mixture(
         total = w2.sum()
         w2 = _solve_weights(t_arr, b2, weight_iters, w0=w2 / total if total > 0 else None)
         if _can_refine(len(a2)):
-            a2, w2 = _refine(t_vec, n, [_bloch_of(a) for a in a2], w2)
-            b2 = [_kron_power(a, n) for a in a2]
+            a2, w2 = _refine(t_vec, n, [_bloch_coords(a) for a in a2], w2)
+            b2 = [kron_power(a, n) for a in a2]
             w2 = _solve_weights(t_arr, b2, weight_iters, w0=w2)
         merged, w2 = _merge_atoms(a2, w2, merge_delta)
         if len(merged) < len(a2):
-            b2 = [_kron_power(a, n) for a in merged]
+            b2 = [kron_power(a, n) for a in merged]
             w2 = _solve_weights(t_arr, b2, weight_iters, w0=w2)
         return merged, b2, w2, _residual_from_blocks(t_arr, b2, w2)
 

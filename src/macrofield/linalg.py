@@ -62,10 +62,15 @@ class SiteSpace:
             raise MismatchedLocalDimension(f"one-site dimension must be >= 2, got {self.d}")
         if self.n < 1:
             raise SiteOutOfRange(f"site count must be >= 1, got {self.n}")
-        if self.d ** self.n > MAX_DIM:
-            raise DimensionOverflow(
-                f"d**n = {self.d}**{self.n} exceeds the dense cap {MAX_DIM}"
-            )
+        # multiply up instead of forming d**n, which for a huge n is itself a
+        # huge integer; the loop stops after at most log_d(MAX_DIM) + 1 steps
+        dim = 1
+        for _ in range(self.n):
+            dim *= self.d
+            if dim > MAX_DIM:
+                raise DimensionOverflow(
+                    f"d**n = {self.d}**{self.n} exceeds the dense cap {MAX_DIM}"
+                )
 
     @property
     def dim(self) -> int:
@@ -171,6 +176,24 @@ def tensor(a: Operator, b: Operator) -> Operator:
         )
     space = SiteSpace(a.space.d, a.space.n + b.space.n)
     return Operator(space, np.kron(a.entries, b.entries), copy=False)
+
+
+def kron_power(arr: np.ndarray, n: int) -> np.ndarray:
+    """n-fold Kronecker power of a vector or a square matrix, n >= 1.
+
+    Each entry is the same chain of products as in a fold of np.kron, so the
+    result is bit-identical; the broadcast form skips np.kron's shape
+    handling, which dominates in the optimizer loops.
+    """
+    out = arr
+    d = arr.shape[0]
+    for _ in range(n - 1):
+        m = out.shape[0]
+        if arr.ndim == 1:
+            out = (out[:, None] * arr[None, :]).reshape(m * d)
+        else:
+            out = (out[:, None, :, None] * arr[None, :, None, :]).reshape(m * d, m * d)
+    return out
 
 
 def embed_at_site(b: Operator, k: int, n: int) -> Operator:

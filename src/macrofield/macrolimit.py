@@ -9,7 +9,6 @@ tests, never here, so the two routes stay independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .linalg import (
     Operator,
     commutator,
     hermitian_eig,
+    kron_power,
     spectral_norm,
 )
 from .sections import (
@@ -89,8 +89,8 @@ def commutator_decay(
     for n in sorted(set(int(n) for n in n_list)):
         if n < lo:
             raise BadOrder(f"n={n} below the seed order {lo}")
-        c = commutator(materialize(s1, n), materialize(s2, n))
-        value = spectral_norm(c)
+        # one expression, so no dense matrix outlives its n
+        value = spectral_norm(commutator(materialize(s1, n), materialize(s2, n)))
         records.append(DecayRecord(n, value, value * n))
     return records
 
@@ -127,8 +127,7 @@ def product_state_sup(section: SymmetricSection, n: int) -> float:
     m = section.m
 
     def objective(rho: np.ndarray) -> float:
-        power = reduce(np.kron, [rho] * m)
-        return abs(complex(np.einsum("ij,ji->", power, seed)))
+        return abs(complex(np.einsum("ij,ji->", kron_power(rho, m), seed)))
 
     value, _ = maximize_over_states(objective, section.d)
     return value
@@ -190,9 +189,9 @@ def born_curve(psi: PureState, spec: FrequencySpec, n_list) -> list[tuple[int, f
     """Frequency-operator expectation on psi^(x)n for each n; constant in n."""
     out = []
     for n in sorted(set(int(n) for n in n_list)):
-        f = frequency_operator(spec, n)
         vec = power_vector(psi, n)
-        out.append((n, float(np.vdot(vec, f.entries @ vec).real)))
+        # one expression, so the dense operator does not outlive its n
+        out.append((n, float(np.vdot(vec, frequency_operator(spec, n).entries @ vec).real)))
     return out
 
 

@@ -23,7 +23,6 @@ from .linalg import (
     SiteSpace,
     SpaceMismatch,
     TOL_HERM,
-    _embed_view,
     _matmul,
     hermiticity_defect,
     site_sum,
@@ -85,21 +84,19 @@ def _pair_terms(seed: np.ndarray, d: int) -> list[tuple[np.ndarray, np.ndarray]]
     return terms
 
 
-def _site_sum_arr(b: np.ndarray, d: int, n: int) -> np.ndarray:
-    out = np.zeros((d**n, d**n), dtype=np.complex128)
-    for k in range(1, n + 1):
-        _embed_view(out, d, k, n)[...] += b
-    return out
-
-
 def _extend_pair(seed_sym: np.ndarray, d: int, n: int) -> np.ndarray:
     # sum over ordered pairs i != j of L at site i, M at site j, via
     # collective sums: sum_{i!=j} L^(i) M^(j) = S(L) S(M) - S(LM)
     dim = d**n
     acc = np.zeros((dim, dim), dtype=np.complex128)
+    one_site = SiteSpace(d, 1)
+
+    def total(b: np.ndarray) -> np.ndarray:
+        return site_sum(Operator(one_site, b, copy=False), n).entries
+
     for left, right in _pair_terms(seed_sym, d):
-        acc += _matmul(_site_sum_arr(left, d, n), _site_sum_arr(right, d, n))
-        acc -= _site_sum_arr(left @ right, d, n)
+        acc += _matmul(total(left), total(right))
+        acc -= total(left @ right)
     acc /= n * (n - 1)
     return acc
 

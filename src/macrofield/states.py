@@ -21,6 +21,7 @@ from .linalg import (
     SpaceMismatch,
     TOL_HERM,
     hermiticity_defect,
+    kron_power,
     permute_sites,
 )
 from .sections import SymmetricSection
@@ -127,22 +128,28 @@ class NSiteState:
         raise AttributeError("NSiteState is immutable")
 
 
+def _bloch_entries(x, y, z) -> np.ndarray:
+    """Qubit density entries at Bloch point (x, y, z), unvalidated."""
+    return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=np.complex128)
+
+
+def _bloch_coords(e: np.ndarray) -> tuple[float, float, float]:
+    """Bloch point (x, y, z) of qubit density entries; inverse of _bloch_entries."""
+    x = float((e[0, 1] + e[1, 0]).real)
+    y = float((1j * (e[0, 1] - e[1, 0])).real)
+    z = float((e[0, 0] - e[1, 1]).real)
+    return x, y, z
+
+
 def bloch_to_density(v: BlochVector) -> DensityMatrix:
     """Qubit state at Bloch point (x, y, z); pure exactly on the sphere."""
-    m = 0.5 * np.array(
-        [[1 + v.z, v.x - 1j * v.y], [v.x + 1j * v.y, 1 - v.z]], dtype=np.complex128
-    )
-    return DensityMatrix(2, m)
+    return DensityMatrix(2, _bloch_entries(v.x, v.y, v.z))
 
 
 def density_to_bloch(rho: DensityMatrix) -> BlochVector:
     if rho.d != 2:
         raise SpaceMismatch("Bloch chart exists only for d = 2")
-    e = rho.entries
-    x = float((e[0, 1] + e[1, 0]).real)
-    y = float((1j * (e[0, 1] - e[1, 0])).real)
-    z = float((e[0, 0] - e[1, 1]).real)
-    return BlochVector(x, y, z)
+    return BlochVector(*_bloch_coords(rho.entries))
 
 
 def product_power(rho: DensityMatrix, n: int) -> NSiteState:
@@ -150,21 +157,14 @@ def product_power(rho: DensityMatrix, n: int) -> NSiteState:
     if n < 1:
         raise SpaceMismatch(f"need n >= 1, got {n}")
     space = SiteSpace(rho.d, n)  # raises DimensionOverflow beyond the dense cap
-    out = rho.entries
-    for _ in range(n - 1):
-        out = np.kron(out, rho.entries)
     # positivity and unit trace are inherited from the factor, skip re-validation
-    return NSiteState(space, out, is_symmetric=True, validate=False)
+    return NSiteState(space, kron_power(rho.entries, n), is_symmetric=True, validate=False)
 
 
 def power_vector(psi: PureState, n: int) -> np.ndarray:
     """Amplitude vector of the n-fold product of a pure state."""
-    space = SiteSpace(psi.d, n)
-    out = psi.amplitudes
-    for _ in range(n - 1):
-        out = np.kron(out, psi.amplitudes)
-    assert out.size == space.dim
-    return out
+    SiteSpace(psi.d, n)  # raises DimensionOverflow beyond the dense cap
+    return kron_power(psi.amplitudes, n)
 
 
 def pure_power(psi: PureState, n: int) -> NSiteState:

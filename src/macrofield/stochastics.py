@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "Or",
     "Not",
     "cylinder",
+    "leaves",
     "involved_sites",
     "random_expression",
     "SllnReport",
@@ -127,20 +129,23 @@ def cylinder(site: int, bit: int) -> Leaf:
     return Leaf(CylinderEvent({site: bit}))
 
 
-def involved_sites(expr: BooleanExpr) -> tuple[int, ...]:
-    sites: set[int] = set()
+def leaves(expr: BooleanExpr) -> Iterator[Leaf]:
+    """Every leaf of the expression tree, repeats included."""
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, Leaf):
-            sites.update(k for k, _ in node.event.constraints)
+            yield node
         elif isinstance(node, Not):
             stack.append(node.inner)
         elif isinstance(node, (And, Or)):
             stack.extend((node.left, node.right))
         else:
             raise TypeError(f"not a boolean expression node: {node!r}")
-    return tuple(sorted(sites))
+
+
+def involved_sites(expr: BooleanExpr) -> tuple[int, ...]:
+    return tuple(sorted({k for leaf in leaves(expr) for k, _ in leaf.event.constraints}))
 
 
 def random_expression(rng: np.random.Generator, horizon: int, max_leaves: int) -> BooleanExpr:

@@ -9,11 +9,13 @@ and the byte-stability of seeded JSON reports.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import binom_window_mass
 
@@ -22,20 +24,17 @@ from macrofield._optim import OptimizerFailed
 from macrofield.linalg import EigFailed
 
 
-def run_cli(*argv: str, threads: str = "1"):
-    env = os.environ.copy()
-    env["MACROFIELD_THREADS"] = threads
+def run_cli(*argv: str):
     return subprocess.run(
         [sys.executable, "-m", "macrofield", *argv],
         capture_output=True,
         text=True,
-        env=env,
         timeout=600,
     )
 
 
-def run_json(*argv: str, threads: str = "1") -> dict:
-    proc = run_cli(*argv, "--no-timestamp", threads=threads)
+def run_json(*argv: str) -> dict:
+    proc = run_cli(*argv, "--no-timestamp")
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -169,14 +168,6 @@ def test_n_list_is_normalized():
     assert [r["n"] for r in report["records"]] == [3, 5]
 
 
-def test_threaded_run_matches_serial():
-    argv = ("window-mass", "--psi", "0.8,0.6", "--epsilon", "0.2", "--n", "1..6")
-    serial = run_cli(*argv, "--no-timestamp", threads="1")
-    threaded = run_cli(*argv, "--no-timestamp", threads="3")
-    assert serial.returncode == 0 and threaded.returncode == 0
-    assert serial.stdout == threaded.stdout
-
-
 def test_timestamp_appears_by_default():
     proc = run_cli("born-converge", "--psi", "1,0", "--lambda", "0", "--n", "1..2")
     assert proc.returncode == 0
@@ -201,6 +192,9 @@ def test_timestamp_appears_by_default():
          "--delta", "0.1", "--rng-seed", "-1"),
         ("window-mass", "--psi", "0.8,0.6", "--epsilon", "-0.1", "--n", "1..3"),
         ("field-check", "--atoms", "1.0:0,0,1", "--section", "sym2(X,Z)", "--n", "1..4"),
+        # the identity is in the shared Pauli table but not in the grammar
+        ("norm-gap", "--section", "avg(I)", "--n", "2..4"),
+        ("commutator-decay", "--seed1", "I", "--seed2", "Z", "--n", "2..4"),
     ],
 )
 def test_bad_input_exits_2(argv):
@@ -218,7 +212,7 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     def sup_fails(*args, **kwargs):
         raise OptimizerFailed("no start converged")
 
-    monkeypatch.setattr(cli, "product_state_sup", sup_fails)
+    monkeypatch.setattr(cli, "norm_gap", sup_fails)
     assert cli.run(["norm-gap", "--section", "avg(Z)", "--n", "2..3"]) == 3
 
     def eig_fails(*args, **kwargs):
@@ -230,6 +224,52 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert "error:" in err
 
 
-def test_bad_thread_env_exits_2():
-    proc = run_cli("born-converge", "--psi", "1,0", "--n", "1..2", threads="zero")
+def test_site_count_past_the_dense_cap_exits_2_at_once():
+    started = time.perf_counter()
+    proc = run_cli("born-converge", "--psi", "0.8,0.6", "--n", "1000000000")
+    elapsed = time.perf_counter() - started
     assert proc.returncode == 2
+    assert "dense cap" in proc.stderr
+    # interpreter start and imports dominate; forming 2**(10**9) took seconds
+    assert elapsed < 5.0
+
+
+# ------------------------------------------------------- n-list grammar
+
+_SITES = st.integers(min_value=1, max_value=14)
+
+
+@given(_SITES, _SITES)
+def test_n_range_equals_its_comma_list(a, b):
+    lo, hi = min(a, b), max(a, b)
+    comma = ",".join(str(n) for n in range(lo, hi + 1))
+    assert cli._parse_n_list(f"{lo}..{hi}") == cli._parse_n_list(comma)
+
+
+@given(st.lists(_SITES, min_size=1, max_size=20))
+def test_n_comma_list_is_strictly_increasing(ns):
+    vals = cli._parse_n_list(",".join(str(n) for n in ns))
+    assert all(a < b for a, b in zip(vals, vals[1:]))
+    assert set(vals) == set(ns)
+
+
+_MALFORMED = st.one_of(
+    # nothing but blanks
+    st.text(alphabet=" \t", max_size=4),
+    # a comma list with an empty token
+    st.lists(_SITES.map(str), max_size=4).map(lambda toks: ",".join(toks + [""])),
+    # a number with a stray character
+    st.tuples(_SITES, st.sampled_from("x.+e")).map(lambda t: f"{t[0]}{t[1]}"),
+    # a range running downwards
+    st.tuples(_SITES, _SITES)
+    .filter(lambda t: t[0] != t[1])
+    .map(lambda t: f"{max(t)}..{min(t)}"),
+    # a range with a missing or extra end
+    st.sampled_from(["..", "3..", "..3", "1..2..3"]),
+)
+
+
+@given(_MALFORMED)
+def test_n_list_rejects_malformed_text(text):
+    with pytest.raises(cli.BadFlag):
+        cli._parse_n_list(text)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import SX, SY, SZ, I2, P1, kron_chain, naive_embed, naive_perm_matrix, rand_hermitian
 
@@ -30,6 +34,7 @@ from macrofield.linalg import (
     hermitian_eig,
     identity,
     is_hermitian,
+    kron_power,
     permutation_unitary,
     permute_sites,
     site_sum,
@@ -60,6 +65,33 @@ def test_site_space_rejects_bad_counts():
     with pytest.raises(DimensionOverflow):
         SiteSpace(2, 15)
     assert SiteSpace(2, 14).dim == MAX_DIM
+
+
+def test_site_space_cap_check_is_bounded():
+    # the check must not form 2**(10**9), which alone takes seconds
+    started = time.perf_counter()
+    with pytest.raises(DimensionOverflow):
+        SiteSpace(2, 10**9)
+    assert time.perf_counter() - started < 0.1
+
+
+_ENTRY = st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e3)
+
+
+@given(
+    st.one_of(
+        hnp.arrays(np.complex128, st.integers(2, 4), elements=_ENTRY),
+        hnp.arrays(np.complex128, (2, 2), elements=_ENTRY),
+    ),
+    st.integers(1, 8),
+)
+def test_kron_power_is_the_kron_fold_bit_for_bit(arr, n):
+    fold = arr
+    for _ in range(n - 1):
+        fold = np.kron(fold, arr)
+    got = kron_power(arr, n)
+    assert got.shape == fold.shape
+    assert got.tobytes() == fold.tobytes()
 
 
 def test_operator_entries_frozen():
