@@ -164,6 +164,7 @@ def _cmd_born_converge(args):
     psi = _parse_psi(args.psi)
     spec = _freq_spec(psi.d, args.lam)
     n_list = _parse_n_list(args.n)
+    SiteSpace(psi.d, n_list[-1])  # the cap for this d, before any n runs
     born = float(abs(psi.amplitudes[args.lam]) ** 2)
     tol = args.tol if args.tol is not None else 1e-10
     records = [
@@ -222,6 +223,7 @@ def _cmd_window_mass(args):
     psi = _parse_psi(args.psi)
     spec = _freq_spec(psi.d, args.lam)
     n_list = _parse_n_list(args.n)
+    SiteSpace(psi.d, n_list[-1])  # the cap for this d, before any n runs
     if args.epsilon <= 0.0:
         raise BadFlag(f"window half-width must be positive, got {args.epsilon}")
     records = []

@@ -6,9 +6,12 @@ all public site indices are 1-based.  At d = 2 the hard ceiling is 14 sites
 (dim 16384); the sweeps in this package stop at 12 (dim 4096).
 
 Eigendecomposition and norms delegate to LAPACK through numpy, with exact
-dispatch fast paths (diagonal input, exactly-real input) that matter on a
-single core at dim 4096.  Every fast path computes the same quantity as the
-generic route and is cross-checked against it in the test suite.
+dispatch fast paths (exactly-real input, and diagonal input for norms) that
+matter on a single core at dim 4096.  Every fast path computes the same
+quantity as the generic route and is cross-checked against it in the test
+suite.  The commuting, classical quantities (event indicators, frequency
+spectra) do not come through here: `stochastics` and `macrolimit` compute them
+as vectors over basis sequences.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 TOL_EIG = 1e-10    # relative tolerance for spectral decompositions
 TOL_HERM = 1e-12   # absolute tolerance for hermiticity checks
 MAX_DIM = 16384    # allocation cap: d**n may not exceed this
+DENSE_NORM_LIMIT = 4096  # above this dim a general norm uses power iteration
 
 
 class MacrofieldError(Exception):
@@ -233,22 +237,13 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def hermitian_eig(a: Operator, tol: float = TOL_HERM) -> SpectralData:
     """Full spectral decomposition of a Hermitian operator.
 
-    Raises NotHermitian if the hermiticity defect exceeds tol.  Diagonal input
-    is decomposed exactly by sorting; exactly-real input goes through the real
-    symmetric solver.
+    Raises NotHermitian if the hermiticity defect exceeds tol.  Exactly-real
+    input goes through the real symmetric solver.
     """
     defect = hermiticity_defect(a)
     if defect > tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     e = a.entries
-    dim = a.dim
-    if _is_diagonal(e):
-        diag = np.diagonal(e).real
-        order = np.argsort(diag, kind="stable")
-        w = diag[order].astype(np.float64)
-        v = np.zeros((dim, dim), dtype=np.complex128)
-        v[order, np.arange(dim)] = 1.0
-        return SpectralData(w, v)
     try:
         if _is_real(e):
             w, v = np.linalg.eigh(e.real)
@@ -280,13 +275,13 @@ def _power_norm(e: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> flo
     raise EigFailed(f"power iteration did not converge in {max_iter} steps")
 
 
-def spectral_norm(a: Operator, *, dense_limit: int = 4096) -> float:
+def spectral_norm(a: Operator) -> float:
     """Largest singular value.
 
     Hermitian input reduces to max |eigenvalue|; anti-Hermitian input to the
     Hermitian problem for iA; general input goes through A^dagger A.  Above
-    dense_limit the A^dagger A route switches to power iteration (tolerance
-    1e-10, at most 10000 steps).
+    DENSE_NORM_LIMIT the A^dagger A route switches to power iteration
+    (tolerance 1e-10, at most 10000 steps).
     """
     e = a.entries
     dim = a.dim
@@ -297,7 +292,7 @@ def spectral_norm(a: Operator, *, dense_limit: int = 4096) -> float:
             r = e.real
             if np.abs(r - r.T).max() <= TOL_HERM:
                 return float(np.abs(np.linalg.eigvalsh(r)).max())
-            if dim > dense_limit:
+            if dim > DENSE_NORM_LIMIT:
                 return _power_norm(e)
             g = np.ascontiguousarray(r).T @ np.ascontiguousarray(r)
             return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
@@ -305,7 +300,7 @@ def spectral_norm(a: Operator, *, dense_limit: int = 4096) -> float:
             return float(np.abs(np.linalg.eigvalsh(e)).max())
         if np.abs(e + e.conj().T).max() <= TOL_HERM:
             return float(np.abs(np.linalg.eigvalsh(1j * e)).max())
-        if dim > dense_limit:
+        if dim > DENSE_NORM_LIMIT:
             return _power_norm(e)
         g = e.conj().T @ e
         return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))

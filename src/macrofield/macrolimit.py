@@ -16,8 +16,9 @@ from ._optim import OptimizerFailed, maximize_over_states
 from .linalg import (
     MacrofieldError,
     Operator,
+    SiteSpace,
+    _matmul,
     commutator,
-    hermitian_eig,
     kron_power,
     spectral_norm,
 )
@@ -26,7 +27,6 @@ from .sections import (
     FrequencySpec,
     PerturbedSection,
     SymmetricSection,
-    frequency_operator,
     materialize,
 )
 from .states import PureState, power_vector
@@ -145,31 +145,48 @@ def norm_gap(section: SymmetricSection, n_list) -> list[NormGapRecord]:
     return records
 
 
-def window_projection(spec: FrequencySpec, n: int, p: float, epsilon: float) -> Operator:
-    """Spectral projection of the frequency operator onto [p - eps, p + eps].
+def _frequency_basis(spec: FrequencySpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frequency operator's eigenvalue per index of the n-fold product of
+    the projector's eigenbasis u, in which it is diagonal, and u itself."""
+    if n < 1:
+        raise BadOrder(f"need n >= 1, got {n}")
+    SiteSpace(spec.d, n)  # raises DimensionOverflow beyond the dense cap
+    w, u = np.linalg.eigh(spec.projector.entries)
+    freq = w
+    for _ in range(n - 1):
+        freq = np.add.outer(freq, w).reshape(-1)
+    return freq / n, u
 
-    The window is closed; eigenvalues within 1e-12 of an edge are included.
-    """
+
+def _weights(psi: PureState, spec: FrequencySpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue per basis index, as above, and the weight of psi^(x)n on it."""
+    freq, u = _frequency_basis(spec, n)
+    return freq, np.abs(power_vector(PureState(spec.d, u.conj().T @ psi.amplitudes), n)) ** 2
+
+
+def _own_mean(psi: PureState, spec: FrequencySpec) -> float:
+    """<psi| P |psi>, the one-site probability of the projector's outcome."""
+    return float(complex(np.vdot(psi.amplitudes, spec.projector.entries @ psi.amplitudes)).real)
+
+
+def _window_mask(freq: np.ndarray, p: float, epsilon: float) -> np.ndarray:
+    """Basis indices with frequency in [p - eps, p + eps], edges widened by 1e-12."""
     if not 0.0 <= p <= 1.0:
         raise BadWindow(f"target mean {p} outside [0, 1]")
     if epsilon <= 0.0:
         raise BadWindow(f"window half-width must be positive, got {epsilon}")
-    f = frequency_operator(spec, n)
-    sd = hermitian_eig(f)
-    w = sd.eigenvalues
-    mask = (w >= p - epsilon - 1e-12) & (w <= p + epsilon + 1e-12)
-    dim = f.dim
-    if not mask.any():
-        return Operator(f.space, np.zeros((dim, dim), dtype=np.complex128), copy=False)
-    cols = sd.eigenvectors[:, mask]
-    if np.count_nonzero(cols) == cols.shape[1]:
-        # one-hot eigenvectors (diagonal frequency operator): the projector is diagonal
-        rows, which = np.nonzero(cols)
-        proj = np.zeros((dim, dim), dtype=np.complex128)
-        proj[rows, rows] = np.abs(cols[rows, which]) ** 2
-    else:
-        proj = cols @ cols.conj().T
-    return Operator(f.space, proj, copy=False)
+    return (freq >= p - epsilon - 1e-12) & (freq <= p + epsilon + 1e-12)
+
+
+def window_projection(spec: FrequencySpec, n: int, p: float, epsilon: float) -> Operator:
+    """Spectral projection of the frequency operator onto [p - eps, p + eps].
+
+    The window is closed; eigenvalues within 1e-12 of an edge are included.
+    This is the dense image; window_mass works on the diagonal form.
+    """
+    freq, u = _frequency_basis(spec, n)
+    cols = kron_power(u, n)[:, _window_mask(freq, p, epsilon)]
+    return Operator(SiteSpace(spec.d, n), _matmul(cols, cols.conj().T), copy=False)
 
 
 def window_mass(psi: PureState, spec: FrequencySpec, n: int, epsilon: float) -> WindowMassRecord:
@@ -177,11 +194,9 @@ def window_mass(psi: PureState, spec: FrequencySpec, n: int, epsilon: float) -> 
     its own mean p = <psi| P |psi>."""
     if psi.d != spec.d:
         raise BadWindow(f"state dimension {psi.d} does not match spec {spec.d}")
-    p_raw = complex(np.vdot(psi.amplitudes, spec.projector.entries @ psi.amplitudes))
-    p = min(max(float(p_raw.real), 0.0), 1.0)
-    proj = window_projection(spec, n, p, epsilon)
-    vec = power_vector(psi, n)
-    mass = float(np.vdot(vec, proj.entries @ vec).real)
+    p = min(max(_own_mean(psi, spec), 0.0), 1.0)
+    freq, weights = _weights(psi, spec, n)
+    mass = float(weights[_window_mask(freq, p, epsilon)].sum())
     return WindowMassRecord(n, float(epsilon), mass)
 
 
@@ -189,16 +204,13 @@ def born_curve(psi: PureState, spec: FrequencySpec, n_list) -> list[tuple[int, f
     """Frequency-operator expectation on psi^(x)n for each n; constant in n."""
     out = []
     for n in sorted(set(int(n) for n in n_list)):
-        vec = power_vector(psi, n)
-        # one expression, so the dense operator does not outlive its n
-        out.append((n, float(np.vdot(vec, frequency_operator(spec, n).entries @ vec).real)))
+        freq, weights = _weights(psi, spec, n)
+        out.append((n, float(weights @ freq)))
     return out
 
 
 def deviation_norm(psi: PureState, spec: FrequencySpec, n: int) -> float:
     """Euclidean norm of (f_n - p) psi^(x)n with p the state's own mean."""
-    p_raw = complex(np.vdot(psi.amplitudes, spec.projector.entries @ psi.amplitudes))
-    p = float(p_raw.real)
-    f = frequency_operator(spec, n)
-    vec = power_vector(psi, n)
-    return float(np.linalg.norm(f.entries @ vec - p * vec))
+    p = _own_mean(psi, spec)
+    freq, weights = _weights(psi, spec, n)
+    return float(np.sqrt(weights @ (freq - p) ** 2))

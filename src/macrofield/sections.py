@@ -221,8 +221,7 @@ def frequency_operator(spec: FrequencySpec, n: int) -> Operator:
     """Site average of the outcome projector: eigenvalues k/n, k = 0..n."""
     if n < 1:
         raise BadOrder(f"need n >= 1, got {n}")
-    arr = site_sum(spec.projector, n).entries / n
-    return Operator(SiteSpace(spec.d, n), arr, copy=False)
+    return j_nm(n, 1, spec.projector)
 
 
 def frequency_section(spec: FrequencySpec) -> SymmetricSection:

@@ -1,9 +1,10 @@
 """Classical Bernoulli sequence space next to its qubit image.
 
 Finite cylinder events and their AND/OR/NOT combinations map onto commuting
-diagonal projections on n qubit sites. Sampling utilities check the strong
-law of large numbers numerically, with a counter-based generator so every
-run is reproducible bit for bit from a 64-bit seed.
+diagonal projections on n qubit sites, held as 0/1 vectors over the 2**n
+basis sequences. Sampling utilities check the strong law of large numbers
+numerically, with a counter-based generator so every run is reproducible bit
+for bit from a 64-bit seed.
 """
 
 from __future__ import annotations
@@ -15,17 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    PROJ_0,
-    PROJ_1,
-    MacrofieldError,
-    Operator,
-    SiteSpace,
-    SpaceMismatch,
-    embed_at_site,
-    identity,
-)
-from .states import PureState, expect, pure_power
+from .linalg import MacrofieldError, Operator, SiteSpace, SpaceMismatch
+from .states import PureState, power_vector
 
 __all__ = [
     "MAX_CONSTRAINTS",
@@ -219,35 +211,33 @@ def slln_check(spec: BernoulliSpec, n: int, trials: int, delta: float, seed: int
     return SllnReport(spec.p, n, trials, delta, hits / trials, hoeffding_bound(n, delta))
 
 
-def _leaf_projection(event: CylinderEvent, n: int) -> Operator:
-    space = SiteSpace(2, n)
-    acc = identity(space).entries
-    for k, bit in event.constraints:
-        if k > n:
-            raise SiteBeyondHorizon(f"leaf fixes site {k} but the horizon is {n}")
-        local = PROJ_1 if bit else PROJ_0
-        acc = acc @ embed_at_site(local, k, n).entries
-    return Operator(space, acc, copy=False)
+def _indicator(expr: BooleanExpr, n: int) -> np.ndarray:
+    """0/1 values of the expression on the 2**n basis sequences, site 1 the
+    leading bit: AND is a * b, OR is a + b - a * b, NOT is 1 - a."""
+    if isinstance(expr, Leaf):
+        idx = np.arange(1 << n)
+        acc = np.ones(1 << n)
+        for k, bit in expr.event.constraints:
+            if k > n:
+                raise SiteBeyondHorizon(f"leaf fixes site {k} but the horizon is {n}")
+            acc *= ((idx >> (n - k)) & 1) == bit
+        return acc
+    if isinstance(expr, Not):
+        return 1.0 - _indicator(expr.inner, n)
+    if isinstance(expr, And):
+        return _indicator(expr.left, n) * _indicator(expr.right, n)
+    if isinstance(expr, Or):
+        a, b = _indicator(expr.left, n), _indicator(expr.right, n)
+        return a + b - a * b
+    raise TypeError(f"not a boolean expression node: {expr!r}")
 
 
 def cylinder_to_projection(expr: BooleanExpr, n: int) -> Operator:
     """Boolean-to-projection map: AND is the product, OR is A + B - AB, NOT
-    is 1 - A. All images are commuting diagonal 0/1 projections."""
+    is 1 - A. All images are commuting diagonal 0/1 projections; this is the
+    dense image of the indicator over basis sequences."""
     space = SiteSpace(2, n)
-    if isinstance(expr, Leaf):
-        return _leaf_projection(expr.event, n)
-    if isinstance(expr, Not):
-        a = cylinder_to_projection(expr.inner, n).entries
-        return Operator(space, np.eye(space.dim, dtype=np.complex128) - a, copy=False)
-    if isinstance(expr, And):
-        a = cylinder_to_projection(expr.left, n).entries
-        b = cylinder_to_projection(expr.right, n).entries
-        return Operator(space, a @ b, copy=False)
-    if isinstance(expr, Or):
-        a = cylinder_to_projection(expr.left, n).entries
-        b = cylinder_to_projection(expr.right, n).entries
-        return Operator(space, a + b - a @ b, copy=False)
-    raise TypeError(f"not a boolean expression node: {expr!r}")
+    return Operator(space, np.diag(_indicator(expr, n)), copy=False)
 
 
 def _holds(expr: BooleanExpr, assignment: dict[int, int]) -> bool:
@@ -289,8 +279,8 @@ def quantum_classical_agreement(
     mu_p probability with p = |<1|psi>|^2. The pair agrees within 1e-10."""
     if psi.d != 2:
         raise SpaceMismatch(f"binary sequence space needs qubit sites, got d={psi.d}")
-    proj = cylinder_to_projection(expr, n)
-    quantum = expect(pure_power(psi, n), proj)
+    weights = np.abs(power_vector(psi, n)) ** 2  # checks the dense cap
+    quantum = float(weights @ _indicator(expr, n))
     p = min(max(abs(psi.amplitudes[1]) ** 2, 0.0), 1.0)
     classical = classical_probability(BernoulliSpec(p), expr)
     return quantum, classical

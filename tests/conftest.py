@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pathlib
 
 import numpy as np
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -84,3 +88,11 @@ def binom_window_mass(n: int, p: float, eps: float) -> float:
         if abs(k / n - p) <= eps + 1e-12:
             total += math.comb(n, k) * p**k * (1 - p) ** (n - k)
     return total
+
+
+def src_env() -> dict:
+    """The environment with the source tree first on PYTHONPATH, so that a
+    subprocess imports this checkout's package without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import binom_window_mass
+from conftest import binom_window_mass, src_env
 
 import macrofield.cli as cli
 from macrofield._optim import OptimizerFailed
@@ -30,6 +30,7 @@ def run_cli(*argv: str):
         capture_output=True,
         text=True,
         timeout=600,
+        env=src_env(),
     )
 
 
@@ -232,6 +233,17 @@ def test_site_count_past_the_dense_cap_exits_2_at_once():
     assert "dense cap" in proc.stderr
     # interpreter start and imports dominate; forming 2**(10**9) took seconds
     assert elapsed < 5.0
+
+
+def test_site_count_past_the_qutrit_cap_exits_2_before_the_sweep(monkeypatch):
+    # the cap depends on the one-site dimension: 8 sites at d = 3
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sweep ran before the site list was checked")
+
+    monkeypatch.setattr(cli, "born_curve", must_not_run)
+    monkeypatch.setattr(cli, "window_mass", must_not_run)
+    for command in ("born-converge", "window-mass"):
+        assert cli.run([command, "--psi", "1,1,1", "--n", "1..14"]) == 2
 
 
 # ------------------------------------------------------- n-list grammar

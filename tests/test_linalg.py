@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import SX, SY, SZ, I2, P1, kron_chain, naive_embed, naive_perm_matrix, rand_hermitian
 
+from macrofield import linalg
 from macrofield.linalg import (
     MAX_DIM,
     TOL_EIG,
@@ -326,12 +327,13 @@ def test_norm_submultiplicative_random():
         assert nab <= na * nb + 10 * TOL_EIG * max(1.0, na * nb)
 
 
-def test_norm_power_iteration_route_agrees():
+def test_norm_power_iteration_route_agrees(monkeypatch):
     rng = np.random.default_rng(47)
     a = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
     o = Operator(SiteSpace(2, 7), a)
     dense = spectral_norm(o)
-    powered = spectral_norm(o, dense_limit=32)
+    monkeypatch.setattr(linalg, "DENSE_NORM_LIMIT", 32)
+    powered = spectral_norm(o)
     assert abs(dense - powered) < 1e-8 * max(1.0, dense)
 
 

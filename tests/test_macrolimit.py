@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import I2, P1, SX, SY, SZ, binom_window_mass, haar_qubit
+from conftest import I2, P1, SX, SY, SZ, binom_window_mass, haar_qubit, kron_chain
 from macrofield.linalg import Operator, SiteSpace, commutator, site_sum, spectral_norm
 from macrofield.macrolimit import (
     BadWindow,
@@ -282,3 +284,44 @@ def test_deviation_norm_variance_law():
     for n in range(1, 11):
         got = deviation_norm(psi, P1_SPEC, n)
         assert abs(got - math.sqrt(p * (1 - p) / n)) <= 1e-12
+
+
+# ---------------------------------------------------------------- dense oracle
+
+
+def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def _random_spec(rng: np.random.Generator, kind: str) -> FrequencySpec:
+    """A tilted qubit projector, or a rank-1 or rank-2 qutrit projector."""
+    d, rank = {"qubit": (2, 1), "qutrit-rank1": (3, 1), "qutrit-rank2": (3, 2)}[kind]
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    cols = q[:, :rank]
+    return FrequencySpec(d, Operator(SiteSpace(d, 1), cols @ cols.conj().T))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["qubit", "qutrit-rank1", "qutrit-rank2"]),
+    st.integers(1, 5),
+    st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]),
+)
+def test_frequency_routes_match_dense_eig_oracle(seed, kind, n, eps):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, kind)
+    psi = PureState(spec.d, _unit(rng, spec.d))
+    vec = kron_chain(*[psi.amplitudes[:, None]] * n)[:, 0]
+    p = float(np.vdot(psi.amplitudes, spec.projector.entries @ psi.amplitudes).real)
+    w, v = np.linalg.eigh(frequency_operator(spec, n).entries)
+    weights = np.abs(v.conj().T @ vec) ** 2
+    inside = (w >= p - eps - 1e-12) & (w <= p + eps + 1e-12)
+    oracle = v[:, inside] @ v[:, inside].conj().T
+
+    assert np.abs(window_projection(spec, n, p, eps).entries - oracle).max() <= 1e-12
+    assert abs(window_mass(psi, spec, n, eps).mass - weights[inside].sum()) <= 1e-12
+    [(_, born)] = born_curve(psi, spec, [n])
+    assert abs(born - weights @ w) <= 1e-12
+    assert abs(deviation_norm(psi, spec, n) - np.sqrt(weights @ (w - p) ** 2)) <= 1e-12

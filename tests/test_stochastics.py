@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_qubit
-from macrofield.linalg import SpaceMismatch, spectral_norm
+from macrofield.linalg import PROJ_0, PROJ_1, SpaceMismatch, embed_at_site, spectral_norm
 from macrofield.states import PureState
 from macrofield.stochastics import (
     And,
@@ -144,6 +146,27 @@ def test_projection_lattice_identities_random():
         absorb = cylinder_to_projection(Or(x, And(x, y)), n).entries
         assert np.allclose(absorb, px.entries, atol=1e-12)
         assert spectral_norm(px) <= 1.0 + 1e-12
+
+
+def _dense_image(expr, n: int) -> np.ndarray:
+    # the boolean homomorphism spelled out on dense matrices
+    if isinstance(expr, Leaf):
+        acc = np.eye(2**n, dtype=complex)
+        for k, bit in expr.event.constraints:
+            acc = acc @ embed_at_site(PROJ_1 if bit else PROJ_0, k, n).entries
+        return acc
+    if isinstance(expr, Not):
+        return np.eye(2**n) - _dense_image(expr.inner, n)
+    a, b = _dense_image(expr.left, n), _dense_image(expr.right, n)
+    return a @ b if isinstance(expr, And) else a + b - a @ b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_projection_equals_dense_homomorphism_image(seed, n):
+    expr = random_expression(np.random.default_rng(seed), n, 4)
+    got = cylinder_to_projection(expr, n).entries
+    assert np.array_equal(got, _dense_image(expr, n))
 
 
 def test_site_beyond_horizon():
