@@ -3,7 +3,10 @@
 Everything is stored as a dense complex128 matrix tagged with its site
 structure (d, n).  Site 1 is the leftmost, slowest-varying Kronecker factor;
 all public site indices are 1-based.  At d = 2 the hard ceiling is 14 sites
-(dim 16384); the sweeps in this package stop at 12 (dim 4096).
+(dim 16384).  The command-line sweeps of commutators and norms do not come
+through here for qubit sections of order <= 2: `sections.spin_blocks` gives
+those on total-spin blocks, and the dense route is their fallback and test
+oracle.
 
 Eigendecomposition and norms delegate to LAPACK through numpy, with exact
 dispatch fast paths (exactly-real input, and diagonal input for norms) that
@@ -313,13 +316,7 @@ def commutator(a: Operator, b: Operator) -> Operator:
     if a.space != b.space:
         raise SpaceMismatch(f"spaces differ: {a.space} vs {b.space}")
     ea, eb = a.entries, b.entries
-    # for Hermitian pairs ba = (ab)^dagger, which saves one large gemm
-    if a.dim >= 2048 and is_hermitian(a) and is_hermitian(b):
-        p = _matmul(ea, eb)
-        c = p - p.conj().T
-    else:
-        c = _matmul(ea, eb) - _matmul(eb, ea)
-    return Operator(a.space, c, copy=False)
+    return Operator(a.space, _matmul(ea, eb) - _matmul(eb, ea), copy=False)
 
 
 def _check_perm(perm, n: int) -> tuple[int, ...]:

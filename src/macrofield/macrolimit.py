@@ -3,7 +3,10 @@ product-state supremum, frequency concentration in spectral windows, and the
 constancy of frequency expectations on product states.
 
 Every limit claim is probed by a finite-n sweep; closed forms live in the
-tests, never here, so the two routes stay independent.
+tests, never here, so the two routes stay independent.  Commutator and norm
+sweeps of qubit sections of order <= 2 run on total-spin blocks
+(`sections.spin_blocks`), so they reach n far past the dense cap; other
+sections are materialized densely.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .sections import (
     PerturbedSection,
     SymmetricSection,
     materialize,
+    spin_blocks,
 )
 from .states import PureState, power_vector
 
@@ -78,19 +82,33 @@ def _seed_order(section: SymmetricSection | PerturbedSection) -> int:
     return section.base.m if isinstance(section, PerturbedSection) else section.m
 
 
+def _block_norm(blocks) -> float:
+    # a block-diagonal operator's norm is its largest block norm; the largest
+    # singular value, since seeds may be complex and non-Hermitian
+    return max(float(np.linalg.norm(b, 2)) for b in blocks)
+
+
 def commutator_decay(
     s1: SymmetricSection | PerturbedSection,
     s2: SymmetricSection | PerturbedSection,
     n_list,
 ) -> list[DecayRecord]:
-    """Norms of [A_n, B_n] for two sections, with the n-scaled value alongside."""
+    """Norms of [A_n, B_n] for two sections, with the n-scaled value alongside.
+
+    Qubit symmetric sections of order <= 2 are commuted block by block on
+    their total-spin blocks; any other pair goes through dense matrices.
+    """
     lo = max(_seed_order(s1), _seed_order(s2))
     records = []
     for n in sorted(set(int(n) for n in n_list)):
         if n < lo:
             raise BadOrder(f"n={n} below the seed order {lo}")
-        # one expression, so no dense matrix outlives its n
-        value = spectral_norm(commutator(materialize(s1, n), materialize(s2, n)))
+        b1, b2 = spin_blocks(s1, n), spin_blocks(s2, n)
+        if b1 is None or b2 is None:
+            # one expression, so no dense matrix outlives its n
+            value = spectral_norm(commutator(materialize(s1, n), materialize(s2, n)))
+        else:
+            value = _block_norm(x @ y - y @ x for x, y in zip(b1, b2))
         records.append(DecayRecord(n, value, value * n))
     return records
 
@@ -134,13 +152,19 @@ def product_state_sup(section: SymmetricSection, n: int) -> float:
 
 
 def norm_gap(section: SymmetricSection, n_list) -> list[NormGapRecord]:
-    """Exact operator norm vs the product-state supremum, per n."""
+    """Exact operator norm vs the product-state supremum, per n.
+
+    The exact norm of a qubit section of order <= 2 is the largest norm of its
+    total-spin blocks; any other section is materialized densely.
+    """
+    ns = sorted(set(int(n) for n in n_list))
+    if ns and ns[0] < _seed_order(section):
+        raise BadOrder(f"n={ns[0]} below the seed order {_seed_order(section)}")
     sup = product_state_sup(section, section.m)
     records = []
-    for n in sorted(set(int(n) for n in n_list)):
-        if n < section.m:
-            raise BadOrder(f"n={n} below the seed order {section.m}")
-        exact = spectral_norm(materialize(section, n))
+    for n in ns:
+        blocks = spin_blocks(section, n)
+        exact = spectral_norm(materialize(section, n)) if blocks is None else _block_norm(blocks)
         records.append(NormGapRecord(n, exact, sup, exact - sup))
     return records
 

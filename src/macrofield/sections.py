@@ -5,7 +5,9 @@ padded with identities to n sites and averaged over all site permutations.
 The three extension routes here (one-site accumulation, pair decomposition
 with collective sums, literal subset placement) evaluate the same average and
 are cross-checked against each other and against direct permutation
-averaging in the tests.
+averaging in the tests.  Qubit sections of order <= 2 also have a block
+form on the total-spin irreps (`spin_blocks`), which carries their norms and
+commutators at any n without a dense matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    PAULI,
     MacrofieldError,
     Operator,
     SiteSpace,
@@ -84,21 +87,25 @@ def _pair_terms(seed: np.ndarray, d: int) -> list[tuple[np.ndarray, np.ndarray]]
     return terms
 
 
-def _extend_pair(seed_sym: np.ndarray, d: int, n: int) -> np.ndarray:
+def _pair_sum(terms, n: int, total, dim: int) -> np.ndarray:
     # sum over ordered pairs i != j of L at site i, M at site j, via
-    # collective sums: sum_{i!=j} L^(i) M^(j) = S(L) S(M) - S(LM)
-    dim = d**n
+    # collective sums: sum_{i!=j} L^(i) M^(j) = S(L) S(M) - S(LM); total is S
+    # in the caller's representation, the dense one or one total-spin block
     acc = np.zeros((dim, dim), dtype=np.complex128)
+    for left, right in terms:
+        acc += _matmul(total(left), total(right))
+        acc -= total(left @ right)
+    acc /= n * (n - 1)
+    return acc
+
+
+def _extend_pair(seed_sym: np.ndarray, d: int, n: int) -> np.ndarray:
     one_site = SiteSpace(d, 1)
 
     def total(b: np.ndarray) -> np.ndarray:
         return site_sum(Operator(one_site, b, copy=False), n).entries
 
-    for left, right in _pair_terms(seed_sym, d):
-        acc += _matmul(total(left), total(right))
-        acc -= total(left @ right)
-    acc /= n * (n - 1)
-    return acc
+    return _pair_sum(_pair_terms(seed_sym, d), n, total, d**n)
 
 
 def _extend_placement(seed_sym: np.ndarray, d: int, m: int, n: int) -> np.ndarray:
@@ -197,6 +204,49 @@ class PerturbedSection:
 
 def materialize(section: SymmetricSection | PerturbedSection, n: int) -> Operator:
     return section.materialize(n)
+
+
+def _spin_paulis(n: int):
+    """(2J_x, 2J_y, 2J_z) on each total-spin irrep of n qubits, J = n/2,
+    n/2 - 1, ..., 0 or 1/2, in the basis m = J, J - 1, ..., -J."""
+    for two_j in range(n, -1, -2):
+        j = two_j / 2
+        m = j - np.arange(two_j + 1)
+        # <m+1| J_+ |m> = sqrt(J(J+1) - m(m+1)) on the superdiagonal
+        up = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+        yield up + up.T, -1j * (up - up.T), np.diag(2 * m)
+
+
+def _spin_sum(b: np.ndarray, n: int, paulis) -> np.ndarray:
+    # b = a0 1 + a . sigma sums over n sites to n a0 1 + a . (2J) on a block
+    a0, *a = (np.trace(PAULI[k].entries @ b) / 2 for k in "IXYZ")
+    out = n * a0 * np.eye(paulis[0].shape[0], dtype=np.complex128)
+    for coef, p in zip(a, paulis):
+        out += coef * p
+    return out
+
+
+def spin_blocks(section: SymmetricSection | PerturbedSection, n: int) -> list[np.ndarray] | None:
+    """A_n on the total-spin irreps J = n/2, n/2 - 1, ..., one (2J+1)-square
+    block per J, or None where there is no such form.
+
+    A permutation-averaged qubit operator is block diagonal over J
+    (Schur-Weyl duality) and acts alike on every copy of an irrep, so these
+    blocks carry its norms and commutators; multiplicities are not needed for
+    those.  Only qubit symmetric sections of order <= 2 have the form here;
+    PerturbedSection, d > 2 and m >= 3 get None and take the dense route.
+    """
+    if not (isinstance(section, SymmetricSection) and section.d == 2 and section.m <= 2):
+        return None
+    if n < section.m:
+        raise BadOrder(f"need n >= m >= 1, got n={n}, m={section.m}")
+    if section.m == 1:
+        return [_spin_sum(section.seed.entries, n, p) / n for p in _spin_paulis(n)]
+    terms = _pair_terms(symmetrize(section.seed).entries, 2)
+    return [
+        _pair_sum(terms, n, lambda b, p=p: _spin_sum(b, n, p), p[0].shape[0])
+        for p in _spin_paulis(n)
+    ]
 
 
 @dataclass(frozen=True)

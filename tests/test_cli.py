@@ -59,6 +59,14 @@ def test_commutator_decay_scaled_column():
     assert abs(report["summary"]["fitted_exponent"] - 1.0) <= 1e-6
 
 
+def test_commutator_decay_past_the_dense_sweeps():
+    # the total-spin route; a dense 2^14 x 2^14 complex matrix is 4.3 GB
+    report = run_json("commutator-decay", "--seed1", "X", "--seed2", "Z", "--n", "13,14")
+    assert [rec["n"] for rec in report["records"]] == [13, 14]
+    for rec in report["records"]:
+        assert abs(rec["scaled"] - 2.0) <= 1e-8
+
+
 def test_norm_gap_order_two_seed():
     report = run_json("norm-gap", "--section", "sym2(X,Z)", "--n", "2..6")
     recs = report["records"]

@@ -365,7 +365,8 @@ def test_commutator_space_mismatch():
 
 
 def test_commutator_hermitian_shortcut_agrees():
-    # the adjoint-product shortcut must match the two-product route
+    # a Hermitian pair goes through the same two products as any other pair;
+    # the result must match the literal ab - ba
     rng = np.random.default_rng(59)
     a = rand_hermitian(rng, 64)
     b = rand_hermitian(rng, 64)

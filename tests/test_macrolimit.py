@@ -8,12 +8,14 @@ product-state supremum, and closed-form frequency spectra.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import macrofield.macrolimit as macrolimit
 from conftest import I2, P1, SX, SY, SZ, binom_window_mass, haar_qubit, kron_chain
 from macrofield.linalg import Operator, SiteSpace, commutator, site_sum, spectral_norm
 from macrofield.macrolimit import (
@@ -35,6 +37,7 @@ from macrofield.sections import (
     PerturbedSection,
     SymmetricSection,
     frequency_operator,
+    materialize,
 )
 from macrofield.states import PureState, expect, pure_power
 
@@ -180,6 +183,54 @@ def test_norm_gap_sym2_xz_shrinks():
     assert abs(sups[2] - 0.5) <= 1e-6
     assert all(g >= -1e-8 for g in gaps.values())
     assert gaps[8] < gaps[2]
+
+
+def test_norm_gap_checks_n_before_the_optimizer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the optimizer ran before the n list was checked")
+
+    monkeypatch.setattr(macrolimit, "maximize_over_states", refuse)
+    with pytest.raises(BadOrder):
+        norm_gap(sym2_section(SX, SZ), [1, 4])
+
+
+# ---------------------------------------------------------------- total-spin blocks
+
+
+def _random_section(rng: np.random.Generator, m: int, hermitian: bool) -> SymmetricSection:
+    dim = 2**m
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if hermitian:
+        a = (a + a.conj().T) / 2
+    return SymmetricSection(2, m, Operator(SiteSpace(2, m), a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 2), st.booleans(), st.data())
+def test_block_routes_match_dense_oracle(seed, m1, m2, hermitian, data):
+    n = data.draw(st.integers(max(m1, m2), 8))
+    rng = np.random.default_rng(seed)
+    s1, s2 = _random_section(rng, m1, hermitian), _random_section(rng, m2, hermitian)
+
+    [rec] = commutator_decay(s1, s2, [n])
+    want = spectral_norm(commutator(materialize(s1, n), materialize(s2, n)))
+    assert abs(rec.value - want) <= 1e-12 * max(1.0, want)
+    # the supremum is not under test here; skip its optimizer
+    with mock.patch.object(macrolimit, "maximize_over_states", lambda f, d: (0.0, None)):
+        for s in (s1, s2):
+            [rec] = norm_gap(s, [n])
+            want = spectral_norm(materialize(s, n))
+            assert abs(rec.exact_norm - want) <= 1e-12 * max(1.0, want)
+
+
+def test_block_route_reaches_past_the_dense_cap():
+    # spaces of dimension 2^16 to 2^64; the closed forms are 2/n and 1
+    for r in commutator_decay(avg_section(SX), avg_section(SZ), [16, 32, 64]):
+        assert abs(r.scaled - 2.0) <= 1e-8
+    for r in norm_gap(sym2_section(SX, SX), [16, 32, 64]):
+        assert abs(r.exact_norm - 1.0) <= 1e-9
+    [rec] = norm_gap(avg_section(SZ), [64])
+    assert abs(rec.exact_norm - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------- windows

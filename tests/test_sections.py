@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SX, SZ, I2, P1, kron_chain, naive_embed, naive_symmetrize, rand_hermitian
 
@@ -31,6 +33,7 @@ from macrofield.sections import (
     frequency_section,
     j_nm,
     materialize,
+    spin_blocks,
     symmetrize,
 )
 
@@ -306,3 +309,34 @@ def test_perturbed_section_bound_enforced():
 def test_section_seed_space_checked():
     with pytest.raises(SpaceMismatch):
         SymmetricSection(2, 2, op(SX))
+
+
+# ---------------------------------------------------------------- total-spin blocks
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.data())
+def test_spin_blocks_are_the_dense_spectrum_with_multiplicities(seed, m, data):
+    n = data.draw(st.integers(m, 8))
+    rng = np.random.default_rng(seed)
+    section = SymmetricSection(2, m, op(rand_hermitian(rng, 2**m), n=m))
+    eig = []
+    # block k has J = n/2 - k and appears C(n, k) - C(n, k - 1) times
+    for k, block in enumerate(spin_blocks(section, n)):
+        assert block.shape == (n - 2 * k + 1,) * 2
+        assert np.abs(block - block.conj().T).max() <= 1e-12
+        mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        eig.extend(np.repeat(np.linalg.eigvalsh(block), mult))
+    dense = np.linalg.eigvalsh(materialize(section, n).entries)
+    assert len(eig) == 2**n
+    assert np.abs(np.sort(eig) - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+
+
+def test_spin_blocks_only_for_qubit_sections_of_order_two_or_less():
+    base = SymmetricSection(2, 1, op(SZ))
+    perturbed = PerturbedSection(base, lambda n: identity(SiteSpace(2, n)), 1.0, 1.0)
+    assert spin_blocks(perturbed, 3) is None
+    assert spin_blocks(SymmetricSection(3, 1, op(np.eye(3), d=3)), 3) is None
+    assert spin_blocks(SymmetricSection(2, 3, op(np.eye(8), n=3)), 3) is None
+    with pytest.raises(BadOrder):
+        spin_blocks(SymmetricSection(2, 2, op(np.eye(4), n=2)), 1)
