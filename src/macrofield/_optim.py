@@ -23,6 +23,7 @@ class OptimizerFailed(MacrofieldError):
 
 XATOL = 1e-8          # simplex diameter at convergence
 FATOL = 1e-12
+MAXITER = 2000        # Nelder-Mead iterations per start, twice that in evaluations
 N_STARTS = 32
 
 
@@ -68,7 +69,7 @@ def _purification_starts(d: int) -> np.ndarray:
     return rng.standard_normal((N_STARTS, 2 * d * d))
 
 
-def maximize_over_states(fn, d: int, *, maxiter: int = 2000, xatol: float = XATOL, fatol: float = FATOL):
+def maximize_over_states(fn, d: int, *, xatol: float = XATOL, fatol: float = FATOL):
     """Maximize fn(rho_entries) over one-site states by multi-start Nelder-Mead.
 
     Returns (best value, best rho entries).  Raises OptimizerFailed when no
@@ -92,7 +93,7 @@ def maximize_over_states(fn, d: int, *, maxiter: int = 2000, xatol: float = XATO
             lambda p: -fn(chart(p)),
             x0,
             method="Nelder-Mead",
-            options=dict(xatol=xatol, fatol=fatol, maxiter=maxiter, maxfev=2 * maxiter),
+            options=dict(xatol=xatol, fatol=fatol, maxiter=MAXITER, maxfev=2 * MAXITER),
         )
         if res.success:
             converged += 1

@@ -1,10 +1,17 @@
 """Finite-atom decompositions of permutation-invariant qubit states.
 
-fit_mixture runs a conditional-gradient loop: each step adds the product
-power best correlated with the current residual, re-solves the weights on
-the probability simplex, refines all atoms jointly by least squares, and
-merges atoms that collide. Low-weight atoms are retried without at the end;
-among numerically exact fits the one with fewer atoms wins.
+fit_mixture works in one representation: the real coefficients of an
+operator in the orthonormal Pauli product basis, sigma_a/sqrt(2) on each
+site, where the Frobenius inner product is the Euclidean dot product. The
+target is converted once; the product power of the qubit state at Bloch
+point b is the Kronecker power of (1, b)/sqrt(2), and atoms are Bloch
+points until the result is built.
+
+The fit is a conditional-gradient loop: each step adds the product power
+best correlated with the current residual, re-solves the weights on the
+probability simplex, refines all atoms jointly by least squares, and merges
+atoms that collide. Low-weight atoms are retried without at the end; among
+numerically exact fits the one with fewer atoms wins.
 field_of_states_check verifies that mixture expectations of symmetric
 sections do not move with n.
 """
@@ -17,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from ._optim import maximize_over_states, project_ball, rho_from_ball
+from ._optim import maximize_over_states, project_ball
 from .linalg import PAULI, MacrofieldError, SiteSpace, SpaceMismatch, kron_power
 from .sections import BadOrder, SymmetricSection
 from .states import (
     DensityMatrix,
     NSiteState,
     _bloch_coords,
+    _bloch_entries,
     a_infinity,
     expect,
     is_permutation_invariant,
@@ -42,6 +50,10 @@ __all__ = [
 
 # atoms closer than this in trace distance are considered one atom
 MERGE_DELTA = 1e-2
+# a round ends the fit if it gains less than this or leaves a residual below this
+IMPROVEMENT_TOL = 1e-9
+# projected-gradient steps of the simplex weight solve
+WEIGHT_ITERS = 500
 
 
 class NotSymmetric(MacrofieldError):
@@ -145,26 +157,38 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _solve_weights(t_arr: np.ndarray, blocks: list[np.ndarray], iters: int, w0=None) -> np.ndarray:
-    """min ||T - sum w_i B_i||_F over the simplex by projected gradient."""
-    k = len(blocks)
+# d u / d b for u = (1, b)/sqrt(2): row c is the basis vector e_(1+c)/sqrt(2)
+_DU = np.eye(4)[1:] / math.sqrt(2.0)
+
+
+def _coords(arr: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients of a Hermitian n-site matrix in the orthonormal Pauli
+    product basis; tr(AB) is the dot product of the coefficients."""
+    return 2.0 ** (n / 2) * _pauli_tensor(arr, n).ravel()
+
+
+def _powers(blochs: np.ndarray, n: int) -> np.ndarray:
+    """One row per Bloch point b: the coefficients of rho(b)^(x)n."""
+    return np.stack([kron_power(np.append(1.0, b) / math.sqrt(2.0), n) for b in blochs])
+
+
+def _solve_weights(t: np.ndarray, powers: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """min ||t - w @ powers|| over the simplex by projected gradient, from
+    the projection of w0 onto the simplex."""
+    k = len(powers)
     if k == 1:
         return np.array([1.0])
-    g_mat = np.empty((k, k))
-    c_vec = np.empty(k)
-    for i in range(k):
-        c_vec[i] = float(np.einsum("ij,ji->", t_arr, blocks[i]).real)
-        for j in range(i, k):
-            g_mat[i, j] = g_mat[j, i] = float(np.einsum("ij,ji->", blocks[i], blocks[j]).real)
+    g_mat = powers @ powers.T
+    c_vec = powers @ t
 
     def cost(w: np.ndarray) -> float:
         return float(w @ g_mat @ w - 2.0 * c_vec @ w)
 
-    w = _project_simplex(np.asarray(w0, dtype=float) if w0 is not None else np.full(k, 1.0 / k))
-    lipschitz = 2.0 * max(float(np.linalg.eigvalsh(g_mat)[-1]), 1e-30)
-    step = 1.0 / lipschitz
+    w = _project_simplex(np.asarray(w0, dtype=float))
+    # 1 / Lipschitz constant of the gradient
+    step = 0.5 / max(float(np.linalg.eigvalsh(g_mat)[-1]), 1e-30)
     fw = cost(w)
-    for _ in range(iters):
+    for _ in range(WEIGHT_ITERS):
         grad = 2.0 * (g_mat @ w - c_vec)
         s = step
         w_new, f_new = w, fw
@@ -182,76 +206,53 @@ def _solve_weights(t_arr: np.ndarray, blocks: list[np.ndarray], iters: int, w0=N
     return w
 
 
-def _merge_atoms(atoms: list[np.ndarray], weights: np.ndarray, delta: float):
-    """Collapse pairs closer than delta into their weighted average."""
-    atoms = list(atoms)
-    weights = np.asarray(weights, dtype=float)
-    merged = True
-    while merged and len(atoms) > 1:
-        merged = False
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                dist = 0.5 * float(np.abs(np.linalg.eigvalsh(atoms[i] - atoms[j])).sum())
-                if dist < delta:
-                    wi, wj = weights[i], weights[j]
-                    tot = wi + wj
-                    if tot > 0.0:
-                        combined = (wi * atoms[i] + wj * atoms[j]) / tot
-                    else:
-                        combined = 0.5 * (atoms[i] + atoms[j])
-                    atoms = [a for t, a in enumerate(atoms) if t not in (i, j)] + [combined]
-                    weights = np.append(np.delete(weights, (i, j)), tot)
-                    merged = True
-                    break
-            if merged:
-                break
-    return atoms, weights
+def _merge_atoms(blochs: np.ndarray, weights: np.ndarray):
+    """Collapse pairs closer than MERGE_DELTA into their weighted average;
+    the trace distance of two qubit states is half their Bloch distance."""
+    blochs = np.array(blochs, dtype=float)
+    weights = np.array(weights, dtype=float)
+    while len(blochs) > 1:
+        gap = 0.5 * np.linalg.norm(blochs[:, None] - blochs[None, :], axis=-1)
+        close = np.argwhere(np.triu(gap < MERGE_DELTA, 1))
+        if not close.size:
+            break
+        i, j = close[0]
+        tot = weights[i] + weights[j]
+        pair_w = weights[[i, j]] / tot if tot > 0.0 else np.full(2, 0.5)
+        blochs = np.vstack([np.delete(blochs, (i, j), axis=0), pair_w @ blochs[[i, j]]])
+        weights = np.append(np.delete(weights, (i, j)), tot)
+    return blochs, weights
 
 
-def _residual_from_blocks(t_arr: np.ndarray, blocks: list[np.ndarray], weights) -> float:
-    mix = np.zeros_like(t_arr)
-    for w, b in zip(weights, blocks):
-        mix += w * b
-    return float(np.linalg.norm(t_arr - mix))
+def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
+    """Joint least-squares refinement of atoms and weights.
 
-
-def _refine(t_vec: np.ndarray, n: int, blochs, weights):
-    """Joint least-squares refinement of atoms and weights in moment space.
-
-    The l2 distance between moment tensors equals the Frobenius distance up
-    to a fixed 2^(-n/2) factor, so this minimizes the same objective as the
-    literal residual. Parameters run unconstrained inside the solver; the
-    result is projected back to the Bloch ball and the simplex, and the
-    caller recomputes the literal residual before accepting anything.
+    Minimizes ||t - sum_i x_i u_i^(x)n|| with u_i = (1, b_i)/sqrt(2) over the
+    weights x and the Bloch points b together: the Frobenius residual that
+    the weight solve minimizes over x alone. Parameters run unconstrained
+    inside the solver. The atoms are projected back to the Bloch ball; the
+    raw weights only start the caller's simplex solve, and the caller
+    recomputes the residual before accepting anything.
     """
     k = len(blochs)
-    x0 = np.concatenate([np.asarray(weights, dtype=float), np.concatenate(blochs)])
+    x0 = np.concatenate([np.asarray(weights, dtype=float), np.ravel(blochs)])
 
     def _fun(x: np.ndarray) -> np.ndarray:
-        out = -t_vec
-        for i in range(k):
-            v = np.concatenate(([1.0], x[k + 3 * i : k + 3 * i + 3]))
-            out = out + x[i] * kron_power(v, n)
-        return out
+        return x[:k] @ _powers(x[k:].reshape(k, 3), n) - t
 
     def _jac(x: np.ndarray) -> np.ndarray:
-        jac = np.empty((t_vec.size, 4 * k))
-        for i in range(k):
-            v = np.concatenate(([1.0], x[k + 3 * i : k + 3 * i + 3]))
-            pw = [np.ones(1)] + [kron_power(v, p) for p in range(1, n + 1)]
-            jac[:, i] = pw[n]
-            for c in range(3):
-                acc = np.zeros(t_vec.size)
-                for s in range(n):
-                    right = pw[n - 1 - s]
-                    blk = np.zeros(4 * right.size)
-                    blk[(1 + c) * right.size : (2 + c) * right.size] = right
-                    acc += (pw[s][:, None] * blk[None, :]).ravel()
-                jac[:, k + 3 * i + c] = x[i] * acc
+        jac = np.empty((t.size, 4 * k))
+        for i, b in enumerate(x[k:].reshape(k, 3)):
+            u = np.append(1.0, b) / math.sqrt(2.0)
+            jac[:, i] = kron_power(u, n)
+            # product rule: d u^(x)n / d b puts d u / d b in each site slot in turn
+            rest = kron_power(u, n - 1) if n > 1 else np.ones(1)
+            slots = (rest.reshape(1, 4**s, 1, -1) * _DU[:, None, :, None] for s in range(n))
+            jac[:, k + 3 * i : k + 3 * i + 3] = x[i] * sum(g.reshape(3, -1) for g in slots).T
         return jac
 
     # MINPACK's lm needs at least as many residuals as parameters
-    method = "lm" if t_vec.size >= 4 * k else "trf"
+    method = "lm" if t.size >= 4 * k else "trf"
     res = least_squares(
         _fun,
         x0,
@@ -262,22 +263,35 @@ def _refine(t_vec: np.ndarray, n: int, blochs, weights):
         gtol=1e-14,
         max_nfev=120 * k,
     )
-    w = np.maximum(res.x[:k], 0.0)
-    total = w.sum()
-    w = w / total if total > 0 else np.full(k, 1.0 / k)
-    atoms = [rho_from_ball(project_ball(res.x[k + 3 * i : k + 3 * i + 3])) for i in range(k)]
-    return atoms, w
+    return np.array([project_ball(b) for b in res.x[k:].reshape(k, 3)]), res.x[:k]
 
 
-def fit_mixture(
-    target: NSiteState,
-    k_max: int,
-    *,
-    merge_delta: float = MERGE_DELTA,
-    improvement_tol: float = 1e-9,
-    weight_iters: int = 500,
-    polish: bool = True,
-) -> FitResult:
+def _settle(t: np.ndarray, n: int, blochs: np.ndarray, w0: np.ndarray):
+    """Simplex weights of the atoms and the residual coefficients they leave."""
+    powers = _powers(blochs, n)
+    w = _solve_weights(t, powers, w0)
+    return w, t - w @ powers
+
+
+def _round(t: np.ndarray, n: int, blochs: np.ndarray, w0: np.ndarray):
+    """One fit round on the given atoms: solve the weights, refine all atoms
+    jointly when affordable and keep the refinement only if it is not
+    worse, then merge colliding atoms and re-solve. Returns the atoms, the
+    weights and the residual coefficients."""
+    w, r = _settle(t, n, blochs, w0)
+    # the refinement jacobian holds 4^n * 4k reals; cap the footprint
+    if len(blochs) <= 8 and t.size * 4 * len(blochs) <= (1 << 23):
+        r_blochs, r_w = _refine(t, n, blochs, w)
+        r_w, r_r = _settle(t, n, r_blochs, r_w)
+        if np.linalg.norm(r_r) <= np.linalg.norm(r):
+            blochs, w, r = r_blochs, r_w, r_r
+    merged, w = _merge_atoms(blochs, w)
+    if len(merged) < len(blochs):
+        w, r = _settle(t, n, merged, w)
+    return merged, w, r
+
+
+def fit_mixture(target: NSiteState, k_max: int) -> FitResult:
     """Conditional-gradient fit of a permutation-invariant qubit state by a
     small mixture of product powers.
 
@@ -287,83 +301,43 @@ def fit_mixture(
     colliding atoms. Recorded residuals never increase; a candidate round
     that fails to improve is discarded. A final prune pass retries the fit
     without each low-weight atom and keeps any retry that loses no ground.
+    The residual is the Frobenius distance between the target and the fit.
     """
     if target.space.d != 2:
         raise SpaceMismatch(f"fit supports qubit sites only, got d={target.space.d}")
     if k_max < 1:
         raise ValueError(f"atom budget must be >= 1, got {k_max}")
-    if merge_delta < MERGE_DELTA:
-        raise ValueError(f"merge_delta below the mixture separation floor {MERGE_DELTA}")
     if not is_permutation_invariant(target):
         raise NotSymmetric("target state is not permutation-invariant")
 
     n = target.space.n
-    t_arr = np.asarray(target.rho)
-    t_norm2 = float(np.vdot(t_arr, t_arr).real)
-    # moment tensors need 4^n reals; past n = 10 fall back to literal algebra
-    t_tensor = _pauli_tensor(t_arr, n) if n <= 10 else None
-    t_vec = t_tensor.reshape(-1) if t_tensor is not None else None
-
-    def _can_refine(count: int) -> bool:
-        # the refinement jacobian holds 4^n * 4k reals; cap the footprint
-        return (
-            polish
-            and t_vec is not None
-            and count <= 8
-            and t_vec.size * 4 * count <= (1 << 23)
-        )
-
-    atoms: list[np.ndarray] = []
-    blocks: list[np.ndarray] = []
+    t = _coords(np.asarray(target.rho), n)
+    atoms = np.zeros((0, 3))
     weights = np.zeros(0)
+    r = t
     history: list[float] = []
-    prev = math.sqrt(max(t_norm2, 0.0))
+    prev = float(np.linalg.norm(t))
     ran_out = True
     for _ in range(k_max):
-        resid_arr = t_arr.copy()
-        for w, b in zip(weights, blocks):
-            resid_arr -= w * b
 
-        if t_tensor is not None:
-            r_tensor = _pauli_tensor(resid_arr, n)
-
-            def correlation(entries: np.ndarray, c=r_tensor) -> float:
-                return _moment_eval(c, np.array([1.0, *_bloch_coords(entries)]))
-
-        else:
-
-            def correlation(entries: np.ndarray, r=resid_arr) -> float:
-                return float(np.einsum("ij,ji->", r, kron_power(entries, n)).real)
+        def correlation(entries: np.ndarray, c=r) -> float:
+            # tr(R rho^(x)n), with rho's coefficients (1, b)/sqrt(2) per site
+            return _moment_eval(c, np.array([1.0, *_bloch_coords(entries)]) / math.sqrt(2.0))
 
         # a loose vertex suffices: weights and refinement fix everything later
         _, vertex = maximize_over_states(correlation, 2, xatol=1e-5, fatol=1e-10)
-        cand_atoms = atoms + [vertex]
-        cand_blocks = blocks + [kron_power(vertex, n)]
-        w0 = np.append(weights, 0.0) if atoms else None
-        cand_w = _solve_weights(t_arr, cand_blocks, weight_iters, w0=w0)
-        if _can_refine(len(cand_atoms)):
-            r_atoms, r_w = _refine(t_vec, n, [_bloch_coords(a) for a in cand_atoms], cand_w)
-            r_blocks = [kron_power(a, n) for a in r_atoms]
-            r_w = _solve_weights(t_arr, r_blocks, weight_iters, w0=r_w)
-            if _residual_from_blocks(t_arr, r_blocks, r_w) <= _residual_from_blocks(
-                t_arr, cand_blocks, cand_w
-            ):
-                cand_atoms, cand_blocks, cand_w = r_atoms, r_blocks, r_w
-        merged_atoms, cand_w = _merge_atoms(cand_atoms, cand_w, merge_delta)
-        if len(merged_atoms) < len(cand_atoms):
-            cand_blocks = [kron_power(a, n) for a in merged_atoms]
-            cand_w = _solve_weights(t_arr, cand_blocks, weight_iters, w0=cand_w)
-        cand_atoms = merged_atoms
-        resid = _residual_from_blocks(t_arr, cand_blocks, cand_w)
-        if atoms and resid >= prev:
+        grown = np.vstack([atoms, _bloch_coords(vertex)])
+        cand, cand_w, cand_r = _round(t, n, grown, np.append(weights, 0.0))
+        resid = float(np.linalg.norm(cand_r))
+        if len(atoms) and resid >= prev:
             # the round cannot improve; stop with the accepted state
             ran_out = False
             break
-        atoms, blocks, weights = cand_atoms, cand_blocks, cand_w
+        atoms, weights, r = cand, cand_w, cand_r
         history.append(resid)
         improvement = prev - resid
         prev = resid
-        if improvement < improvement_tol:
+        if improvement < IMPROVEMENT_TOL or resid < IMPROVEMENT_TOL:
             ran_out = False
             break
     iterations = len(history)
@@ -371,27 +345,9 @@ def fit_mixture(
     # a dead atom cannot affect the state; drop it before pruning
     live = weights > 1e-12
     if len(atoms) > 1 and live.any() and not live.all():
-        atoms = [a for a, keep in zip(atoms, live) if keep]
-        blocks = [b for b, keep in zip(blocks, live) if keep]
-        weights = weights[live]
-        weights = _solve_weights(t_arr, blocks, weight_iters, w0=weights / weights.sum())
-        prev = min(prev, _residual_from_blocks(t_arr, blocks, weights))
-
-    def _without(idx: int):
-        a2 = [a for t, a in enumerate(atoms) if t != idx]
-        b2 = [b for t, b in enumerate(blocks) if t != idx]
-        w2 = np.delete(weights, idx)
-        total = w2.sum()
-        w2 = _solve_weights(t_arr, b2, weight_iters, w0=w2 / total if total > 0 else None)
-        if _can_refine(len(a2)):
-            a2, w2 = _refine(t_vec, n, [_bloch_coords(a) for a in a2], w2)
-            b2 = [kron_power(a, n) for a in a2]
-            w2 = _solve_weights(t_arr, b2, weight_iters, w0=w2)
-        merged, w2 = _merge_atoms(a2, w2, merge_delta)
-        if len(merged) < len(a2):
-            b2 = [kron_power(a, n) for a in merged]
-            w2 = _solve_weights(t_arr, b2, weight_iters, w0=w2)
-        return merged, b2, w2, _residual_from_blocks(t_arr, b2, w2)
+        atoms = atoms[live]
+        weights, r = _settle(t, n, atoms, weights[live])
+        prev = min(prev, float(np.linalg.norm(r)))
 
     # prune: a spurious atom left by the greedy rounds distorts the weights,
     # so retry without each atom, lightest first, and keep any retry that
@@ -399,35 +355,28 @@ def fit_mixture(
     # the history cap keeps the recorded residuals nonincreasing
     while len(atoms) > 1:
         floor = min(max(prev, 1e-9), history[-1])
-        pruned = False
         for idx in np.argsort(weights):
-            a2, b2, w2, r2 = _without(int(idx))
-            if r2 <= floor:
-                atoms, blocks, weights, prev = a2, b2, w2, r2
-                pruned = True
+            a2, w2, r2 = _round(t, n, np.delete(atoms, idx, axis=0), np.delete(weights, idx))
+            if np.linalg.norm(r2) <= floor:
+                atoms, weights, prev = a2, w2, float(np.linalg.norm(r2))
                 break
-        if not pruned:
+        else:
             break
 
     weights = weights / weights.sum()
-    final = _residual_from_blocks(t_arr, blocks, weights)
-    final = min(final, prev)
+    final = min(float(np.linalg.norm(t - weights @ _powers(atoms, n))), prev)
     history.append(final)
     # exhausted means stopped by the budget while still making progress
-    budget_exhausted = ran_out and final > improvement_tol
+    budget_exhausted = ran_out and final > IMPROVEMENT_TOL
 
     # an exactly zero weight can survive the simplex solve; dropping it
     # leaves the mixture and the residual untouched
     live = weights > 0.0
-    if not live.all():
-        atoms = [a for a, keep in zip(atoms, live) if keep]
-        weights = weights[live]
-        weights = weights / weights.sum()
+    atoms, weights = atoms[live], weights[live] / weights[live].sum()
 
     order = np.argsort(-weights)
-    pairs = tuple((float(weights[i]), DensityMatrix(2, atoms[i])) for i in order)
-    result_mix = DiscreteMixture(pairs)
-    return FitResult(result_mix, final, iterations, budget_exhausted, tuple(history))
+    pairs = tuple((float(weights[i]), DensityMatrix(2, _bloch_entries(*atoms[i]))) for i in order)
+    return FitResult(DiscreteMixture(pairs), final, iterations, budget_exhausted, tuple(history))
 
 
 def field_of_states_check(

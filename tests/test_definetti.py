@@ -2,22 +2,30 @@
 
 The round-trip oracles are exact by construction: targets are assembled from
 known atoms and weights, so the fit has a unique answer to recover. The
-moment-tensor fast path is checked against literal traces.
+fit's one representation, coefficients in the orthonormal Pauli product
+basis, is checked against literal traces, Frobenius inner products and
+dense product powers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import I2, P0, P1, SX, SY, SZ, kron_chain, rand_hermitian
+from macrofield import definetti
 from macrofield.definetti import (
     MERGE_DELTA,
     DiscreteMixture,
     FitResult,
     NotSymmetric,
+    _coords,
+    _merge_atoms,
     _moment_eval,
     _pauli_tensor,
+    _powers,
     field_of_states_check,
     fit_mixture,
     mixture_state,
@@ -25,10 +33,12 @@ from macrofield.definetti import (
 from macrofield.linalg import Operator, SiteSpace, SpaceMismatch
 from macrofield.sections import BadOrder, PerturbedSection, SymmetricSection
 from macrofield.states import (
+    BlochVector,
     DensityMatrix,
     NSiteState,
     PureState,
     a_infinity,
+    bloch_to_density,
     expect,
     is_permutation_invariant,
     product_power,
@@ -133,7 +143,7 @@ def test_mixture_state_rejects_bad_site_count():
         mixture_state(mix, 0)
 
 
-# ---------------------------------------------------- moment tensor oracle
+# ---------------------------------------------- Pauli coefficient oracles
 
 
 def test_moment_tensor_matches_literal_traces():
@@ -150,6 +160,61 @@ def test_moment_tensor_matches_literal_traces():
             literal = np.trace(a @ kron_chain(*([rho] * n))).real
             fast = _moment_eval(coeffs, np.concatenate(([1.0], b)))
             assert abs(fast - literal) < 1e-10
+
+
+def ball_point(rng: np.random.Generator, pure: bool) -> np.ndarray:
+    b = rng.standard_normal(3)
+    b /= np.linalg.norm(b)
+    return b if pure else b * rng.uniform() ** (1.0 / 3.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
+def test_coordinates_are_an_orthonormal_chart(seed, n, pure):
+    rng = np.random.default_rng(seed)
+    a, b = rand_hermitian(rng, 2**n), rand_hermitian(rng, 2**n)
+    want = np.trace(a @ b).real
+    scale = np.linalg.norm(a) * np.linalg.norm(b)
+    assert abs(_coords(a, n) @ _coords(b, n) - want) <= 1e-12 * scale
+    # the fit's product-power row is the chart of the dense product power
+    bloch = ball_point(rng, pure)
+    rho = bloch_to_density(BlochVector(*bloch))
+    [row] = _powers(bloch[None, :], n)
+    np.testing.assert_allclose(row, _coords(product_power(rho, n).rho, n), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 4.0 * MERGE_DELTA))
+def test_merge_criterion_is_the_trace_distance(seed, pure, gap):
+    rng = np.random.default_rng(seed)
+    b1 = ball_point(rng, pure)
+    # a second point about gap away in trace distance, kept in the ball
+    b2 = b1 + 2.0 * gap * ball_point(rng, True)
+    b2 /= max(1.0, np.linalg.norm(b2))
+    dist = trace_distance(bloch_to_density(BlochVector(*b1)), bloch_to_density(BlochVector(*b2)))
+    assert abs(0.5 * np.linalg.norm(b1 - b2) - dist) <= 1e-14
+    merged, weights = _merge_atoms(np.array([b1, b2]), np.array([0.25, 0.75]))
+    if abs(dist - MERGE_DELTA) > 1e-14:
+        assert len(merged) == (1 if dist < MERGE_DELTA else 2)
+    assert abs(weights.sum() - 1.0) <= 1e-15
+
+
+def test_fit_builds_no_n_site_matrix(monkeypatch):
+    target = mixture_state(DiscreteMixture(((0.4, ZERO), (0.6, PLUS))), 4)
+    real_kron_power = definetti.kron_power
+
+    def vectors_only(arr, n):
+        assert arr.ndim == 1, "the fit formed a Kronecker power of a matrix"
+        return real_kron_power(arr, n)
+
+    monkeypatch.setattr(definetti, "kron_power", vectors_only)
+    res = fit_mixture(target, 4)
+    assert len(res.mixture.atoms) == 2
+    assert res.residual <= 1e-6
+    for w_true, atom_true in ((0.4, ZERO), (0.6, PLUS)):
+        dist, w_got = min((trace_distance(atom_true, atom), w) for w, atom in res.mixture.atoms)
+        assert dist <= 1e-3
+        assert abs(w_got - w_true) <= 1e-3
 
 
 # -------------------------------------------------------------------- fits
@@ -241,8 +306,6 @@ def test_fit_rejects_bad_inputs():
     target = product_power(ZERO, 3)
     with pytest.raises(ValueError):
         fit_mixture(target, 0)
-    with pytest.raises(ValueError):
-        fit_mixture(target, 2, merge_delta=MERGE_DELTA / 10)
     skew = NSiteState(SiteSpace(2, 2), np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
     with pytest.raises(NotSymmetric):
         fit_mixture(skew, 2)
