@@ -28,10 +28,8 @@ from .linalg import (
     SiteOutOfRange,
     SiteSpace,
     SpaceMismatch,
-    SpectralData,
     commutator,
     embed_at_site,
-    hermitian_eig,
     identity,
     permutation_unitary,
     permute_sites,
@@ -119,8 +117,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # spaces and operators
-    "SiteSpace", "Operator", "SpectralData", "tensor", "embed_at_site",
-    "site_sum", "hermitian_eig", "spectral_norm", "commutator",
+    "SiteSpace", "Operator", "tensor", "embed_at_site",
+    "site_sum", "spectral_norm", "commutator",
     "permute_sites", "permutation_unitary", "identity",
     "PAULI_X", "PAULI_Y", "PAULI_Z", "PROJ_0", "PROJ_1",
     # averaged observables

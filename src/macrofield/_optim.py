@@ -1,4 +1,4 @@
-"""Multi-start Nelder-Mead over one-site state charts.
+"""Multi-start Nelder-Mead for generic objectives of one-site states, d <= 4.
 
 d = 2 runs over the closed Bloch ball (3 coordinates, radial projection onto
 the ball); d = 3, 4 run over purification coordinates W with rho = WW*/tr(WW*).
@@ -69,12 +69,12 @@ def _purification_starts(d: int) -> np.ndarray:
     return rng.standard_normal((N_STARTS, 2 * d * d))
 
 
-def maximize_over_states(fn, d: int, *, xatol: float = XATOL, fatol: float = FATOL):
-    """Maximize fn(rho_entries) over one-site states by multi-start Nelder-Mead.
+def maximize_over_states(fn, d: int):
+    """Maximize fn(rho_entries) over one-site states, d <= 4, by multi-start
+    Nelder-Mead to XATOL and FATOL.
 
     Returns (best value, best rho entries).  Raises OptimizerFailed when no
-    start converges; the reported value is the max over all starts.  Callers
-    that refine the result elsewhere may loosen xatol/fatol.
+    start converges; the reported value is the max over all starts.
     """
     if d == 2:
         starts = ball_starts()
@@ -93,7 +93,7 @@ def maximize_over_states(fn, d: int, *, xatol: float = XATOL, fatol: float = FAT
             lambda p: -fn(chart(p)),
             x0,
             method="Nelder-Mead",
-            options=dict(xatol=xatol, fatol=fatol, maxiter=MAXITER, maxfev=2 * MAXITER),
+            options=dict(xatol=XATOL, fatol=FATOL, maxiter=MAXITER, maxfev=2 * MAXITER),
         )
         if res.success:
             converged += 1

@@ -8,10 +8,12 @@ point b is the Kronecker power of (1, b)/sqrt(2), and atoms are Bloch
 points until the result is built.
 
 The fit is a conditional-gradient loop: each step adds the product power
-best correlated with the current residual, re-solves the weights on the
-probability simplex, refines all atoms jointly by least squares, and merges
-atoms that collide. Low-weight atoms are retried without at the end; among
-numerically exact fits the one with fewer atoms wins.
+best correlated with the current residual, found by projected gradient
+ascent of that degree-n polynomial in b from 32 starts at once, re-solves
+the weights on the probability simplex, refines all atoms jointly by least
+squares, and merges atoms that collide. Low-weight atoms are retried
+without at the end; among numerically exact fits the one with fewer atoms
+wins.
 field_of_states_check verifies that mixture expectations of symmetric
 sections do not move with n.
 """
@@ -24,13 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from ._optim import maximize_over_states, project_ball
+from ._optim import ball_starts, project_ball
 from .linalg import PAULI, MacrofieldError, SiteSpace, SpaceMismatch, kron_power
 from .sections import BadOrder, SymmetricSection
 from .states import (
     DensityMatrix,
     NSiteState,
-    _bloch_coords,
     _bloch_entries,
     a_infinity,
     expect,
@@ -54,6 +55,9 @@ MERGE_DELTA = 1e-2
 IMPROVEMENT_TOL = 1e-9
 # projected-gradient steps of the simplex weight solve
 WEIGHT_ITERS = 500
+# steps of the batched vertex search; a start stops once its step is below the tolerance
+VERTEX_ITERS = 500
+VERTEX_STEP_TOL = 1e-7
 
 
 class NotSymmetric(MacrofieldError):
@@ -74,8 +78,8 @@ class DiscreteMixture:
         ds = {rho.d for _, rho in self.atoms}
         if len(ds) != 1:
             raise SpaceMismatch(f"atoms live on different local dimensions: {sorted(ds)}")
-        if any(w <= 0.0 for w, _ in self.atoms):
-            raise ValueError("atom weights must be positive")
+        if not all(math.isfinite(w) and w > 0.0 for w, _ in self.atoms):
+            raise ValueError("atom weights must be positive and finite")
         total = sum(w for w, _ in self.atoms)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"weights sum to {total!r}, not 1")
@@ -127,14 +131,6 @@ def _pauli_tensor(arr: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(cur.real)
 
 
-def _moment_eval(coeffs: np.ndarray, v: np.ndarray) -> float:
-    """Contract every axis of the coefficient tensor with one moment vector."""
-    cur = coeffs.reshape(-1, 4) @ v
-    while cur.size > 1:
-        cur = cur.reshape(-1, 4) @ v
-    return float(cur[0])
-
-
 def mixture_state(mix: DiscreteMixture, n: int) -> NSiteState:
     """The n-site state sum_i w_i rho_i^(x)n; permutation-invariant by
     construction, so validation is skipped."""
@@ -168,8 +164,59 @@ def _coords(arr: np.ndarray, n: int) -> np.ndarray:
 
 
 def _powers(blochs: np.ndarray, n: int) -> np.ndarray:
-    """One row per Bloch point b: the coefficients of rho(b)^(x)n."""
-    return np.stack([kron_power(np.append(1.0, b) / math.sqrt(2.0), n) for b in blochs])
+    """One row per Bloch point b: the coefficients of rho(b)^(x)n, formed for
+    all rows at once by kron_power's chain of products of (1, b)/sqrt(2)."""
+    u = np.column_stack([np.ones(len(blochs)), blochs]) / math.sqrt(2.0)
+    rows = np.ones((len(u), 1))
+    for _ in range(n):
+        rows = (rows[:, :, None] * u[:, None, :]).reshape(len(u), -1)
+    return rows
+
+
+def _correlate(c: np.ndarray, blochs: np.ndarray, n: int):
+    """Values and Bloch gradients of tr(C rho(b)^(x)n) for the rows b of a
+    (B, 3) array, C permutation-invariant with coefficients c.
+
+    All slots but the first are contracted with u = (1, b)/sqrt(2), the
+    trailing half by one matrix product whose output is no larger than c.
+    The first slot stands for any of the n, so the gradient is n times the
+    b part of what is left, over sqrt(2).
+    """
+    half = n // 2
+    part = c.reshape(-1, 4**half) @ _powers(blochs, half).T
+    part = np.einsum("ijb,bj->ib", part.reshape(4, -1, len(blochs)), _powers(blochs, n - half - 1))
+    u = _powers(blochs, 1)
+    return (part * u.T).sum(axis=0), n * part[1:].T / math.sqrt(2.0)
+
+
+def _best_vertex(c: np.ndarray, n: int) -> np.ndarray:
+    """The Bloch point whose product power correlates best with c.
+
+    Projected gradient ascent from all of ball_starts() at once. Each start
+    moves by its own step along its normalized gradient, less its outward
+    part on the sphere, which would stall it there. The step doubles when
+    the move gains and halves when not, down to VERTEX_STEP_TOL.
+    """
+    blochs = ball_starts()
+    vals, grads = _correlate(c, blochs, n)
+    # a quarter of the ball's radius
+    steps = np.full(len(blochs), 0.25)
+    for _ in range(VERTEX_ITERS):
+        live = np.flatnonzero(steps >= VERTEX_STEP_TOL)
+        if not live.size:
+            break
+        b, g = blochs[live], grads[live]
+        outward = np.maximum((b * g).sum(axis=1, keepdims=True), 0.0)
+        g = g - outward * b * (np.linalg.norm(b, axis=1, keepdims=True) >= 1.0 - 1e-12)
+        lengths = np.linalg.norm(g, axis=1, keepdims=True)
+        cand = b + steps[live, None] * g / np.maximum(lengths, 1e-300)
+        cand /= np.maximum(np.linalg.norm(cand, axis=1, keepdims=True), 1.0)
+        c_vals, c_grads = _correlate(c, cand, n)
+        gain = c_vals > vals[live]
+        moved = live[gain]
+        blochs[moved], vals[moved], grads[moved] = cand[gain], c_vals[gain], c_grads[gain]
+        steps[live] *= np.where(gain, 2.0, 0.5)
+    return blochs[np.argmax(vals)]
 
 
 def _solve_weights(t: np.ndarray, powers: np.ndarray, w0: np.ndarray) -> np.ndarray:
@@ -296,11 +343,13 @@ def fit_mixture(target: NSiteState, k_max: int) -> FitResult:
     small mixture of product powers.
 
     Each round adds the state whose product power correlates best with the
-    current residual (multi-start Nelder-Mead over the Bloch ball), re-solves
-    the weights, refines all atoms jointly by least squares, and merges
-    colliding atoms. Recorded residuals never increase; a candidate round
-    that fails to improve is discarded. A final prune pass retries the fit
-    without each low-weight atom and keeps any retry that loses no ground.
+    current residual (batched projected gradient ascent over the Bloch
+    ball), re-solves the weights, refines all atoms jointly by least
+    squares, and merges colliding atoms. The first round is kept even when
+    zero lies closer to the target; a later one that fails to improve is
+    discarded, so recorded residuals never increase. A final prune pass
+    retries the fit without each low-weight atom and keeps any retry that
+    loses no ground.
     The residual is the Frobenius distance between the target and the fit.
     """
     if target.space.d != 2:
@@ -316,17 +365,10 @@ def fit_mixture(target: NSiteState, k_max: int) -> FitResult:
     weights = np.zeros(0)
     r = t
     history: list[float] = []
-    prev = float(np.linalg.norm(t))
+    prev = math.inf
     ran_out = True
     for _ in range(k_max):
-
-        def correlation(entries: np.ndarray, c=r) -> float:
-            # tr(R rho^(x)n), with rho's coefficients (1, b)/sqrt(2) per site
-            return _moment_eval(c, np.array([1.0, *_bloch_coords(entries)]) / math.sqrt(2.0))
-
-        # a loose vertex suffices: weights and refinement fix everything later
-        _, vertex = maximize_over_states(correlation, 2, xatol=1e-5, fatol=1e-10)
-        grown = np.vstack([atoms, _bloch_coords(vertex)])
+        grown = np.vstack([atoms, _best_vertex(r, n)])
         cand, cand_w, cand_r = _round(t, n, grown, np.append(weights, 0.0))
         resid = float(np.linalg.norm(cand_r))
         if len(atoms) and resid >= prev:

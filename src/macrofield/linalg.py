@@ -8,7 +8,7 @@ through here for qubit sections of order <= 2: `sections.spin_blocks` gives
 those on total-spin blocks, and the dense route is their fallback and test
 oracle.
 
-Eigendecomposition and norms delegate to LAPACK through numpy, with exact
+Norms and products delegate to LAPACK and BLAS through numpy, with exact
 dispatch fast paths (exactly-real input, and diagonal input for norms) that
 matter on a single core at dim 4096.  Every fast path computes the same
 quantity as the generic route and is cross-checked against it in the test
@@ -116,24 +116,6 @@ class Operator:
         return f"Operator(d={self.space.d}, n={self.space.n}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian operator."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.eigenvalues, dtype=np.float64)
-        v = np.asarray(self.eigenvectors, dtype=np.complex128)
-        if v.shape != (w.size, w.size):
-            raise SpaceMismatch("eigenvector matrix shape does not match eigenvalue count")
-        if np.any(np.diff(w) < 0):
-            raise EigFailed("eigenvalues not sorted ascending")
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-
-
 def _is_diagonal(arr: np.ndarray) -> bool:
     # all nonzeros on the diagonal <=> the two counts agree
     return np.count_nonzero(arr) == np.count_nonzero(np.diagonal(arr))
@@ -147,10 +129,6 @@ def hermiticity_defect(a: Operator) -> float:
     """max |A - A^dagger| over entries."""
     e = a.entries
     return float(np.abs(e - e.conj().T).max())
-
-
-def is_hermitian(a: Operator, tol: float = TOL_HERM) -> bool:
-    return hermiticity_defect(a) <= tol
 
 
 def _embed_view(out: np.ndarray, d: int, k: int, n: int) -> np.ndarray:
@@ -235,27 +213,6 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             np.complex128
         )
     return x @ y
-
-
-def hermitian_eig(a: Operator, tol: float = TOL_HERM) -> SpectralData:
-    """Full spectral decomposition of a Hermitian operator.
-
-    Raises NotHermitian if the hermiticity defect exceeds tol.  Exactly-real
-    input goes through the real symmetric solver.
-    """
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    e = a.entries
-    try:
-        if _is_real(e):
-            w, v = np.linalg.eigh(e.real)
-            v = v.astype(np.complex128)
-        else:
-            w, v = np.linalg.eigh(e)
-    except np.linalg.LinAlgError as err:
-        raise EigFailed(str(err)) from err
-    return SpectralData(w, v)
 
 
 def _power_norm(e: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:

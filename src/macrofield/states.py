@@ -68,6 +68,8 @@ class BlochVector:
     z: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite((self.x, self.y, self.z)).all():
+            raise InvalidState(f"Bloch coordinates ({self.x}, {self.y}, {self.z}) are not finite")
         if self.x**2 + self.y**2 + self.z**2 > 1.0 + 1e-12:
             raise OutsideBall(f"({self.x}, {self.y}, {self.z}) lies outside the unit ball")
 

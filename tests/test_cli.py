@@ -12,16 +12,20 @@ import json
 import subprocess
 import sys
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import binom_window_mass, src_env
 
 import macrofield.cli as cli
 from macrofield._optim import OptimizerFailed
+from macrofield.definetti import MERGE_DELTA
 from macrofield.linalg import EigFailed
+from macrofield.states import density_to_bloch
 
 
 def run_cli(*argv: str):
@@ -204,6 +208,10 @@ def test_timestamp_appears_by_default():
         # the identity is in the shared Pauli table but not in the grammar
         ("norm-gap", "--section", "avg(I)", "--n", "2..4"),
         ("commutator-decay", "--seed1", "I", "--seed2", "Z", "--n", "2..4"),
+        # non-finite weights and coordinates
+        ("definetti-fit", "--atoms", "nan:0,0,1"),
+        ("definetti-fit", "--atoms", "1:nan,0,0"),
+        ("field-check", "--atoms", "nan:0,0,1", "--section", "avg(Z)", "--n", "1..3"),
     ],
 )
 def test_bad_input_exits_2(argv):
@@ -293,3 +301,114 @@ _MALFORMED = st.one_of(
 def test_n_list_rejects_malformed_text(text):
     with pytest.raises(cli.BadFlag):
         cli._parse_n_list(text)
+
+
+# ------------------------------------------------------- atom grammar
+
+_COORD = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _atom_specs(draw):
+    """Weights on the open simplex and Bloch points in the ball, pairwise
+    apart by more than the merge floor."""
+    k = draw(st.integers(1, 4))
+    blochs = []
+    for _ in range(k):
+        b = np.array(draw(st.tuples(_COORD, _COORD, _COORD)))
+        blochs.append(b / max(1.0, float(np.linalg.norm(b))))
+    gaps = [0.5 * np.linalg.norm(a - b) for i, a in enumerate(blochs) for b in blochs[i + 1 :]]
+    assume(all(gap >= 1.01 * MERGE_DELTA for gap in gaps))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    return [(w / sum(raw), b) for w, b in zip(raw, blochs)]
+
+
+def _atom_tokens(spec) -> list[list[str]]:
+    return [[repr(float(w))] + [repr(float(v)) for v in b] for w, b in spec]
+
+
+def _atoms_text(tokens) -> str:
+    return ";".join(f"{w}:{x},{y},{z}" for w, x, y, z in tokens)
+
+
+def _blochs(mix) -> np.ndarray:
+    return np.array([[v.x, v.y, v.z] for v in (density_to_bloch(rho) for _, rho in mix.atoms)])
+
+
+@settings(deadline=None)
+@given(_atom_specs())
+def test_atom_echo_parses_back_to_the_same_mixture(spec):
+    mix, canon = cli._parse_atoms(_atoms_text(_atom_tokens(spec)))
+    again, echo = cli._parse_atoms(canon)
+    assert [w for w, _ in mix.atoms] == [w for w, _ in spec]
+    assert [w for w, _ in again.atoms] == [w for w, _ in mix.atoms]
+    # the echo reads each point back from its density matrix, where
+    # z = ((1 + z) - (1 - z)) / 2 may round by an ulp of 1 or two
+    np.testing.assert_allclose(_blochs(mix), [b for _, b in spec], rtol=0, atol=4.5e-16)
+    np.testing.assert_allclose(_blochs(again), _blochs(mix), rtol=0, atol=4.5e-16)
+
+
+def _refused_before_any_fit(text: str) -> None:
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a refused mixture reached the computation")
+
+    with pytest.raises((cli.MacrofieldError, ValueError)):
+        cli._parse_atoms(text)
+    with (
+        mock.patch.object(cli, "mixture_state", must_not_run),
+        mock.patch.object(cli, "fit_mixture", must_not_run),
+        mock.patch.object(cli, "field_of_states_check", must_not_run),
+    ):
+        assert cli.run(["definetti-fit", "--atoms", text, "--sites", "2"]) == 2
+        assert cli.run(["field-check", "--atoms", text, "--section", "avg(Z)", "--n", "1..2"]) == 2
+
+
+_MALFORMED_ATOMS = st.one_of(
+    # nothing but blanks and separators
+    st.text(alphabet=" ;", max_size=4),
+    # a missing weight or separator, or a wrong coordinate count
+    st.sampled_from(["1.0", "0,0,1", ":0,0,1", "1.0:", "1.0:0,0", "1.0:0,0,0,0", "1.0;0,0,1"]),
+    # a token with a stray or missing character
+    st.tuples(
+        st.sampled_from(["{}:0,0,1", "1.0:{},0,1", "1.0:0,{},1"]),
+        st.sampled_from(["x", "1e", "+-1", "0..5", ""]),
+    ).map(lambda t: t[0].format(t[1])),
+)
+
+
+@settings(deadline=None)
+@given(_MALFORMED_ATOMS)
+def test_atoms_reject_malformed_text(text):
+    _refused_before_any_fit(text)
+
+
+@settings(deadline=None)
+@given(_atom_specs(), st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999"]), st.data())
+def test_atoms_reject_non_finite_values(spec, bad, data):
+    tokens = _atom_tokens(spec)
+    atom = data.draw(st.integers(0, len(tokens) - 1))
+    slot = data.draw(st.integers(0, 3))
+    tokens[atom][slot] = bad
+    _refused_before_any_fit(_atoms_text(tokens))
+
+
+@settings(deadline=None)
+@given(_atom_specs(), st.data())
+def test_atoms_reject_points_outside_the_ball(spec, data):
+    atom = data.draw(st.integers(0, len(spec) - 1))
+    direction = np.array(data.draw(st.tuples(_COORD, _COORD, _COORD)))
+    assume(np.linalg.norm(direction) > 0.1)
+    radius = data.draw(st.floats(1.0 + 1e-9, 3.0))
+    spec[atom] = (spec[atom][0], radius * direction / np.linalg.norm(direction))
+    _refused_before_any_fit(_atoms_text(_atom_tokens(spec)))
+
+
+@settings(deadline=None)
+@given(_atom_specs(), st.data())
+def test_atoms_reject_colliding_points(spec, data):
+    # split one atom into two whose trace distance 0.5 |b| f stays below the floor
+    atom = data.draw(st.integers(0, len(spec) - 1))
+    w, b = spec[atom]
+    f = data.draw(st.floats(0.0, 1.9 * MERGE_DELTA))
+    spec[atom : atom + 1] = [(w / 2, b), (w / 2, (1.0 - f) * b)]
+    _refused_before_any_fit(_atoms_text(_atom_tokens(spec)))

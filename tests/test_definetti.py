@@ -14,23 +14,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, P0, P1, SX, SY, SZ, kron_chain, rand_hermitian
+from conftest import I2, P0, P1, SX, SY, SZ, kron_chain, naive_symmetrize, rand_hermitian
 from macrofield import definetti
+from macrofield._optim import maximize_over_states
 from macrofield.definetti import (
     MERGE_DELTA,
     DiscreteMixture,
     FitResult,
     NotSymmetric,
+    _best_vertex,
     _coords,
+    _correlate,
     _merge_atoms,
-    _moment_eval,
-    _pauli_tensor,
     _powers,
     field_of_states_check,
     fit_mixture,
     mixture_state,
 )
-from macrofield.linalg import Operator, SiteSpace, SpaceMismatch
+from macrofield.linalg import Operator, SiteSpace, SpaceMismatch, kron_power
 from macrofield.sections import BadOrder, PerturbedSection, SymmetricSection
 from macrofield.states import (
     BlochVector,
@@ -147,10 +148,11 @@ def test_mixture_state_rejects_bad_site_count():
 
 
 def test_moment_tensor_matches_literal_traces():
+    # the value needs no permutation invariance: every slot is contracted
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 5):
         a = rand_hermitian(rng, 2**n)
-        coeffs = _pauli_tensor(a, n)
+        coeffs = _coords(a, n)
         for _ in range(4):
             b = rng.standard_normal(3)
             r = np.linalg.norm(b)
@@ -158,7 +160,7 @@ def test_moment_tensor_matches_literal_traces():
                 b /= r * 1.0001
             rho = 0.5 * (I2 + b[0] * SX + b[1] * SY + b[2] * SZ)
             literal = np.trace(a @ kron_chain(*([rho] * n))).real
-            fast = _moment_eval(coeffs, np.concatenate(([1.0], b)))
+            [fast], _ = _correlate(coeffs, b[None, :], n)
             assert abs(fast - literal) < 1e-10
 
 
@@ -181,6 +183,39 @@ def test_coordinates_are_an_orthonormal_chart(seed, n, pure):
     rho = bloch_to_density(BlochVector(*bloch))
     [row] = _powers(bloch[None, :], n)
     np.testing.assert_allclose(row, _coords(product_power(rho, n).rho, n), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_correlation_oracle_matches_dense_routes(seed, n):
+    rng = np.random.default_rng(seed)
+    big = naive_symmetrize(rand_hermitian(rng, 2**n), 2, n)
+    c = _coords(big, n)
+    scale = np.linalg.norm(big)
+    blochs = np.array([ball_point(rng, pure) for pure in (True, False, False, True)])
+    vals, grads = _correlate(c, blochs, n)
+    for b, val in zip(blochs, vals):
+        dense = np.trace(big @ kron_power(bloch_to_density(BlochVector(*b)).entries, n)).real
+        assert abs(val - dense) <= 1e-12 * scale
+    # the gradient is a polynomial's; central differences of step h err by O(h^2)
+    h = 1e-5
+    for axis in range(3):
+        shift = h * np.eye(3)[axis]
+        diff = (_correlate(c, blochs + shift, n)[0] - _correlate(c, blochs - shift, n)[0]) / (2 * h)
+        np.testing.assert_allclose(grads[:, axis], diff, rtol=0, atol=1e-7 * scale)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_best_vertex_is_at_least_the_nelder_mead_maximum(seed, n):
+    rng = np.random.default_rng(seed)
+    big = naive_symmetrize(rand_hermitian(rng, 2**n), 2, n)
+    c = _coords(big, n)
+    best = _best_vertex(c, n)
+    assert np.linalg.norm(best) <= 1.0 + 1e-15
+    [got], _ = _correlate(c, best[None, :], n)
+    want, _ = maximize_over_states(lambda rho: np.trace(big @ kron_power(rho, n)).real, 2)
+    assert got >= want - 1e-8
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,6 +332,60 @@ def test_fit_reports_budget_exhaustion():
     assert len(res.mixture.atoms) == 1
     assert res.budget_exhausted
     assert res.residual > 1e-9
+
+
+def bloch_mixture(spec) -> DiscreteMixture:
+    return DiscreteMixture(tuple((w, bloch_to_density(BlochVector(*b))) for w, b in spec))
+
+
+def unit_bloch(rng: np.random.Generator) -> np.ndarray:
+    b = rng.standard_normal(3)
+    return b / np.linalg.norm(b)
+
+
+def assert_recovered(mix: DiscreteMixture, res: FitResult) -> None:
+    assert len(res.mixture.atoms) == len(mix.atoms)
+    assert res.residual <= 1e-6
+    for w_true, atom_true in mix.atoms:
+        dist, w_got = min((trace_distance(atom_true, atom), w) for w, atom in res.mixture.atoms)
+        assert dist <= 1e-3
+        assert abs(w_got - w_true) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ((0.4, (0, 0, 1)), (0.3, (0, 0, -1)), (0.3, (1, 0, 0))),
+        (
+            (0.4034, (0.776856, 0.626757, 0.060564)),
+            (0.2801, (0.58688, -0.790561, -0.174879)),
+            (0.3165, (-0.626269, 0.777896, 0.051598)),
+        ),
+    ],
+)
+def test_fit_continues_past_a_first_atom_worse_than_zero(spec):
+    # the best single product power lies farther from the target than the
+    # zero operator does, so the first round must not be measured against zero
+    mix = bloch_mixture(spec)
+    target = mixture_state(mix, 6)
+    res = fit_mixture(target, 6)
+    assert res.history[0] > np.linalg.norm(target.rho)
+    assert_recovered(mix, res)
+    assert not res.budget_exhausted
+    assert all(b <= a + 1e-15 for a, b in zip(res.history, res.history[1:]))
+
+
+def test_fit_recovers_seeded_three_atom_mixtures():
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        while True:
+            blochs = [unit_bloch(rng) for _ in range(3)]
+            gaps = [0.5 * np.linalg.norm(a - b) for i, a in enumerate(blochs) for b in blochs[i + 1 :]]
+            if min(gaps) >= 0.3:
+                break
+        weights = rng.dirichlet((3.0, 3.0, 3.0))
+        mix = bloch_mixture(zip(weights, blochs))
+        assert_recovered(mix, fit_mixture(mixture_state(mix, 6), 6))
 
 
 def test_fit_rejects_bad_inputs():

@@ -18,9 +18,7 @@ from macrofield.linalg import (
     MAX_DIM,
     TOL_EIG,
     DimensionOverflow,
-    EigFailed,
     MismatchedLocalDimension,
-    NotHermitian,
     Operator,
     PAULI_X,
     PAULI_Y,
@@ -32,9 +30,8 @@ from macrofield.linalg import (
     SpaceMismatch,
     commutator,
     embed_at_site,
-    hermitian_eig,
     identity,
-    is_hermitian,
+    hermiticity_defect,
     kron_power,
     permutation_unitary,
     permute_sites,
@@ -212,75 +209,10 @@ def test_site_sum_matches_embed_sum():
         assert np.allclose(site_sum(op(b), n).entries, expected, atol=1e-15, rtol=0)
 
 
-# ----------------------------------------------------------------- spectrum
-
-
-def test_eig_sz():
-    sd = hermitian_eig(op(SZ))
-    assert np.allclose(sd.eigenvalues, [-1.0, 1.0], atol=1e-15)
-
-
-def test_eig_sx():
-    sd = hermitian_eig(op(SX))
-    assert np.allclose(sd.eigenvalues, [-1.0, 1.0], atol=1e-14)
-    # eigenvectors (1, -1)/sqrt(2) and (1, 1)/sqrt(2) up to phase
-    lo, hi = sd.eigenvectors[:, 0], sd.eigenvectors[:, 1]
-    assert abs(abs(np.vdot(lo, np.array([1, -1]) / np.sqrt(2))) - 1) < 1e-12
-    assert abs(abs(np.vdot(hi, np.array([1, 1]) / np.sqrt(2))) - 1) < 1e-12
-
-
-def test_eig_xz_mix_characteristic_oracle():
-    # eigenvalues of (sx+sz)/2 from the characteristic polynomial: +-1/sqrt(2)
-    sd = hermitian_eig(op((SX + SZ) / 2))
-    root = 0.7071067811865476
-    assert np.allclose(sd.eigenvalues, [-root, root], atol=1e-14)
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(op([[0, 1], [0, 0]]))
-
-
 def op_any(a):
     dim = a.shape[0]
     n = int(round(np.log2(dim)))
     return Operator(SiteSpace(2, max(n, 1)), a)
-
-
-def test_eig_reconstruction_small_dims():
-    rng = np.random.default_rng(23)
-    for dim in (2, 8, 64, 256):
-        a = rand_hermitian(rng, dim)
-        sd = hermitian_eig(op_any(a))
-        recon = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.conj().T
-        scale = np.abs(a).max()
-        assert np.abs(recon - a).max() <= TOL_EIG * scale
-        assert np.abs(np.diff(sd.eigenvalues) < 0).sum() == 0
-        gram = sd.eigenvectors.conj().T @ sd.eigenvectors
-        assert np.abs(gram - np.eye(dim)).max() <= TOL_EIG
-
-
-def test_eig_reconstruction_large_real_symmetric():
-    # top-size reconstruction check; real symmetric keeps it affordable on one core
-    rng = np.random.default_rng(29)
-    dim = 4096
-    a = rng.standard_normal((dim, dim))
-    a = (a + a.T) / 2
-    sd = hermitian_eig(Operator(SiteSpace(2, 12), a.astype(complex), copy=False))
-    recon = (sd.eigenvectors.real * sd.eigenvalues) @ sd.eigenvectors.real.T
-    assert np.abs(recon - a).max() <= TOL_EIG * np.abs(a).max()
-
-
-def test_eig_diagonal_fast_path_matches_generic():
-    rng = np.random.default_rng(31)
-    diag = rng.standard_normal(16)
-    a = op_any(np.diag(diag).astype(complex))
-    sd = hermitian_eig(a)
-    assert np.array_equal(sd.eigenvalues, np.sort(diag))
-    recon = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.conj().T
-    assert np.abs(recon - a.entries).max() == 0.0
-    w_generic = np.linalg.eigvalsh(a.entries)
-    assert np.allclose(sd.eigenvalues, w_generic, atol=1e-14)
 
 
 # -------------------------------------------------------------------- norms
@@ -424,8 +356,8 @@ def test_permute_sites_rejects_non_permutation():
 
 
 def test_is_hermitian():
-    assert is_hermitian(op(SY))
-    assert not is_hermitian(op([[0, 1], [0, 0]]))
+    assert hermiticity_defect(op(SY)) == 0.0
+    assert hermiticity_defect(op([[0, 1], [0, 0]])) == 1.0
 
 
 def test_pauli_constants():
