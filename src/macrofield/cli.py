@@ -119,7 +119,7 @@ def _parse_psi(text: str) -> PureState:
 
 
 def _parse_atoms(text: str) -> tuple[DiscreteMixture, str]:
-    """w:x,y,z;w:x,y,z descriptor to a mixture of Bloch-point atoms."""
+    """w:x,y,z;w:x,y,z descriptor to a mixture; the echo repeats the parsed floats."""
     pairs = []
     for part in text.split(";"):
         chunk = part.strip()
@@ -133,12 +133,11 @@ def _parse_atoms(text: str) -> tuple[DiscreteMixture, str]:
             raise BadFlag(f"bad atom {part!r}; expected w:x,y,z") from None
         if len(coords) != 3:
             raise BadFlag(f"atom needs three Bloch coordinates, got {part!r}")
-        pairs.append((weight, bloch_to_density(BlochVector(*coords))))
+        pairs.append((weight, coords))
     if not pairs:
         raise BadFlag("no atoms given")
-    mix = DiscreteMixture(tuple(pairs))
-    blochs = [(w, density_to_bloch(rho)) for w, rho in mix.atoms]
-    canon = ";".join(f"{w!r}:{b.x!r},{b.y!r},{b.z!r}" for w, b in blochs)
+    mix = DiscreteMixture(tuple((w, bloch_to_density(BlochVector(*b))) for w, b in pairs))
+    canon = ";".join(f"{w!r}:{x!r},{y!r},{z!r}" for w, (x, y, z) in pairs)
     return mix, canon
 
 

@@ -293,7 +293,7 @@ def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
             u = np.append(1.0, b) / math.sqrt(2.0)
             jac[:, i] = kron_power(u, n)
             # product rule: d u^(x)n / d b puts d u / d b in each site slot in turn
-            rest = kron_power(u, n - 1) if n > 1 else np.ones(1)
+            rest = kron_power(u, n - 1)
             slots = (rest.reshape(1, 4**s, 1, -1) * _DU[:, None, :, None] for s in range(n))
             jac[:, k + 3 * i : k + 3 * i + 3] = x[i] * sum(g.reshape(3, -1) for g in slots).T
         return jac

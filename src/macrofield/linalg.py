@@ -12,9 +12,9 @@ Norms and products delegate to LAPACK and BLAS through numpy, with exact
 dispatch fast paths (exactly-real input, and diagonal input for norms) that
 matter on a single core at dim 4096.  Every fast path computes the same
 quantity as the generic route and is cross-checked against it in the test
-suite.  The commuting, classical quantities (event indicators, frequency
-spectra) do not come through here: `stochastics` and `macrolimit` compute them
-as vectors over basis sequences.
+suite.  The commuting, classical quantities do not come through here: events
+live on the bits of the sites they involve (`stochastics`), and frequency
+statistics on the n + 1 weights of the outcome count (`macrolimit`).
 """
 
 from __future__ import annotations
@@ -164,12 +164,14 @@ def tensor(a: Operator, b: Operator) -> Operator:
 
 
 def kron_power(arr: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a vector or a square matrix, n >= 1.
+    """n-fold Kronecker power of a vector or a square matrix, n >= 0.
 
     Each entry is the same chain of products as in a fold of np.kron, so the
     result is bit-identical; the broadcast form skips np.kron's shape
     handling, which dominates in the optimizer loops.
     """
+    if n == 0:
+        return np.ones((1,) * arr.ndim, dtype=arr.dtype)  # the empty product
     out = arr
     d = arr.shape[0]
     for _ in range(n - 1):

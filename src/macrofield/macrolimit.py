@@ -3,10 +3,10 @@ product-state supremum, frequency concentration in spectral windows, and the
 constancy of frequency expectations on product states.
 
 Every limit claim is probed by a finite-n sweep; closed forms live in the
-tests, never here, so the two routes stay independent.  Commutator and norm
-sweeps of qubit sections of order <= 2 run on total-spin blocks
-(`sections.spin_blocks`), so they reach n far past the dense cap; other
-sections are materialized densely.
+tests, never here, so the two routes stay independent.  Past the dense cap,
+commutator and norm sweeps of qubit sections of order <= 2 run on total-spin
+blocks (`sections.spin_blocks`), and frequency statistics on the n + 1
+weights of the outcome count; other sections are materialized densely.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .sections import (
     materialize,
     spin_blocks,
 )
-from .states import PureState, power_vector
+from .states import PureState
 
 __all__ = [
     "DecayRecord",
@@ -169,23 +169,18 @@ def norm_gap(section: SymmetricSection, n_list) -> list[NormGapRecord]:
     return records
 
 
-def _frequency_basis(spec: FrequencySpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The frequency operator's eigenvalue per index of the n-fold product of
-    the projector's eigenbasis u, in which it is diagonal, and u itself."""
-    if n < 1:
-        raise BadOrder(f"need n >= 1, got {n}")
-    SiteSpace(spec.d, n)  # raises DimensionOverflow beyond the dense cap
-    w, u = np.linalg.eigh(spec.projector.entries)
-    freq = w
-    for _ in range(n - 1):
-        freq = np.add.outer(freq, w).reshape(-1)
-    return freq / n, u
-
-
-def _weights(psi: PureState, spec: FrequencySpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue per basis index, as above, and the weight of psi^(x)n on it."""
-    freq, u = _frequency_basis(spec, n)
-    return freq, np.abs(power_vector(PureState(spec.d, u.conj().T @ psi.amplitudes), n)) ** 2
+def _count_laws(psi: PureState, spec: FrequencySpec, ns: list[int]):
+    """Law of the outcome count k = 0..n in psi^(x)n, for each n of the ascending list."""
+    if psi.d != spec.d:
+        raise BadWindow(f"state dimension {psi.d} does not match spec {spec.d}")
+    if ns and ns[0] < 1:
+        raise BadOrder(f"need n >= 1, got {ns[0]}")
+    q = min(max(_own_mean(psi, spec), 0.0), 1.0)
+    w = np.ones(1)
+    for n in ns:
+        for _ in range(n + 1 - w.size):
+            w = np.convolve(w, (1.0 - q, q))
+        yield n, w
 
 
 def _own_mean(psi: PureState, spec: FrequencySpec) -> float:
@@ -194,7 +189,7 @@ def _own_mean(psi: PureState, spec: FrequencySpec) -> float:
 
 
 def _window_mask(freq: np.ndarray, p: float, epsilon: float) -> np.ndarray:
-    """Basis indices with frequency in [p - eps, p + eps], edges widened by 1e-12."""
+    """Frequencies in [p - eps, p + eps], edges widened by 1e-12."""
     if not 0.0 <= p <= 1.0:
         raise BadWindow(f"target mean {p} outside [0, 1]")
     if epsilon <= 0.0:
@@ -206,35 +201,36 @@ def window_projection(spec: FrequencySpec, n: int, p: float, epsilon: float) -> 
     """Spectral projection of the frequency operator onto [p - eps, p + eps].
 
     The window is closed; eigenvalues within 1e-12 of an edge are included.
-    This is the dense image; window_mass works on the diagonal form.
+    This is the dense image; window_mass works on the outcome count.
     """
-    freq, u = _frequency_basis(spec, n)
-    cols = kron_power(u, n)[:, _window_mask(freq, p, epsilon)]
-    return Operator(SiteSpace(spec.d, n), _matmul(cols, cols.conj().T), copy=False)
+    if n < 1:
+        raise BadOrder(f"need n >= 1, got {n}")
+    space = SiteSpace(spec.d, n)  # raises DimensionOverflow beyond the dense cap
+    w, u = np.linalg.eigh(spec.projector.entries)
+    freq = w
+    for _ in range(n - 1):
+        freq = np.add.outer(freq, w).reshape(-1)
+    cols = kron_power(u, n)[:, _window_mask(freq / n, p, epsilon)]
+    return Operator(space, _matmul(cols, cols.conj().T), copy=False)
 
 
 def window_mass(psi: PureState, spec: FrequencySpec, n: int, epsilon: float) -> WindowMassRecord:
     """Weight of the product state psi^(x)n inside the frequency window around
     its own mean p = <psi| P |psi>."""
-    if psi.d != spec.d:
-        raise BadWindow(f"state dimension {psi.d} does not match spec {spec.d}")
+    [(_, w)] = _count_laws(psi, spec, [n])
     p = min(max(_own_mean(psi, spec), 0.0), 1.0)
-    freq, weights = _weights(psi, spec, n)
-    mass = float(weights[_window_mask(freq, p, epsilon)].sum())
+    mass = float(w[_window_mask(np.arange(n + 1) / n, p, epsilon)].sum())
     return WindowMassRecord(n, float(epsilon), mass)
 
 
 def born_curve(psi: PureState, spec: FrequencySpec, n_list) -> list[tuple[int, float]]:
     """Frequency-operator expectation on psi^(x)n for each n; constant in n."""
-    out = []
-    for n in sorted(set(int(n) for n in n_list)):
-        freq, weights = _weights(psi, spec, n)
-        out.append((n, float(weights @ freq)))
-    return out
+    ns = sorted(set(int(n) for n in n_list))
+    return [(n, float(w @ np.arange(n + 1)) / n) for n, w in _count_laws(psi, spec, ns)]
 
 
 def deviation_norm(psi: PureState, spec: FrequencySpec, n: int) -> float:
     """Euclidean norm of (f_n - p) psi^(x)n with p the state's own mean."""
+    [(_, w)] = _count_laws(psi, spec, [n])
     p = _own_mean(psi, spec)
-    freq, weights = _weights(psi, spec, n)
-    return float(np.sqrt(weights @ (freq - p) ** 2))
+    return float(np.sqrt(w @ (np.arange(n + 1) / n - p) ** 2))

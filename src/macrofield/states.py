@@ -50,6 +50,8 @@ class DensityMatrix:
         arr = np.asarray(self.entries, dtype=np.complex128)
         if arr.shape != (self.d, self.d):
             raise SpaceMismatch(f"entries shape {arr.shape} does not match d={self.d}")
+        if not np.isfinite(arr).all():
+            raise InvalidState("density matrix has non-finite entries")
         if np.abs(arr - arr.conj().T).max() > TOL_HERM:
             raise InvalidState("density matrix is not Hermitian")
         if abs(arr.trace().real - 1.0) > 1e-12 or abs(arr.trace().imag) > 1e-12:
@@ -113,6 +115,8 @@ class NSiteState:
         if arr.shape != (space.dim, space.dim):
             raise SpaceMismatch(f"rho shape {arr.shape} does not match dim {space.dim}")
         if validate:
+            if not np.isfinite(arr).all():
+                raise InvalidState("rho has non-finite entries")
             if np.abs(arr - arr.conj().T).max() > TOL_HERM:
                 raise InvalidState("rho is not Hermitian")
             if abs(arr.trace().real - 1.0) > 1e-12:

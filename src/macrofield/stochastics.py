@@ -1,10 +1,10 @@
 """Classical Bernoulli sequence space next to its qubit image.
 
 Finite cylinder events and their AND/OR/NOT combinations map onto commuting
-diagonal projections on n qubit sites, held as 0/1 vectors over the 2**n
-basis sequences. Sampling utilities check the strong law of large numbers
-numerically, with a counter-based generator so every run is reproducible bit
-for bit from a 64-bit seed.
+diagonal projections on n qubit sites, held as 0/1 vectors over the 2**k bit
+assignments of the k sites an event involves, whatever n. Sampling utilities
+check the strong law of large numbers numerically, with a counter-based
+generator so every run is reproducible bit for bit from a 64-bit seed.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MacrofieldError, Operator, SiteSpace, SpaceMismatch
-from .states import PureState, power_vector
+from .linalg import MacrofieldError, Operator, SiteSpace, SpaceMismatch, kron_power
+from .states import PureState
 
 __all__ = [
     "MAX_CONSTRAINTS",
@@ -211,23 +211,21 @@ def slln_check(spec: BernoulliSpec, n: int, trials: int, delta: float, seed: int
     return SllnReport(spec.p, n, trials, delta, hits / trials, hoeffding_bound(n, delta))
 
 
-def _indicator(expr: BooleanExpr, n: int) -> np.ndarray:
-    """0/1 values of the expression on the 2**n basis sequences, site 1 the
-    leading bit: AND is a * b, OR is a + b - a * b, NOT is 1 - a."""
+def _indicator(expr: BooleanExpr, sites: tuple[int, ...]) -> np.ndarray:
+    """0/1 values of the expression on the bit assignments of `sites`, the
+    first site the leading bit: AND is a * b, OR is a + b - a * b, NOT is 1 - a."""
     if isinstance(expr, Leaf):
-        idx = np.arange(1 << n)
-        acc = np.ones(1 << n)
-        for k, bit in expr.event.constraints:
-            if k > n:
-                raise SiteBeyondHorizon(f"leaf fixes site {k} but the horizon is {n}")
-            acc *= ((idx >> (n - k)) & 1) == bit
+        idx = np.arange(1 << len(sites))
+        acc = np.ones(idx.size)
+        for site, bit in expr.event.constraints:
+            acc *= ((idx >> (len(sites) - 1 - sites.index(site))) & 1) == bit
         return acc
     if isinstance(expr, Not):
-        return 1.0 - _indicator(expr.inner, n)
+        return 1.0 - _indicator(expr.inner, sites)
     if isinstance(expr, And):
-        return _indicator(expr.left, n) * _indicator(expr.right, n)
+        return _indicator(expr.left, sites) * _indicator(expr.right, sites)
     if isinstance(expr, Or):
-        a, b = _indicator(expr.left, n), _indicator(expr.right, n)
+        a, b = _indicator(expr.left, sites), _indicator(expr.right, sites)
         return a + b - a * b
     raise TypeError(f"not a boolean expression node: {expr!r}")
 
@@ -235,9 +233,11 @@ def _indicator(expr: BooleanExpr, n: int) -> np.ndarray:
 def cylinder_to_projection(expr: BooleanExpr, n: int) -> Operator:
     """Boolean-to-projection map: AND is the product, OR is A + B - AB, NOT
     is 1 - A. All images are commuting diagonal 0/1 projections; this is the
-    dense image of the indicator over basis sequences."""
+    dense image of the indicator over the basis sequences of sites 1..n."""
     space = SiteSpace(2, n)
-    return Operator(space, np.diag(_indicator(expr, n)), copy=False)
+    if max(involved_sites(expr), default=0) > n:
+        raise SiteBeyondHorizon(f"the expression fixes a site beyond the horizon {n}")
+    return Operator(space, np.diag(_indicator(expr, tuple(range(1, n + 1)))), copy=False)
 
 
 def _holds(expr: BooleanExpr, assignment: dict[int, int]) -> bool:
@@ -275,12 +275,15 @@ def classical_probability(spec: BernoulliSpec, expr: BooleanExpr) -> float:
 def quantum_classical_agreement(
     psi: PureState, expr: BooleanExpr, n: int
 ) -> tuple[float, float]:
-    """Expectation of the projection image on psi^(x)n next to the exact
-    mu_p probability with p = |<1|psi>|^2. The pair agrees within 1e-10."""
+    """Expectation of the projection image on psi^(x)n, on the involved sites
+    only, next to the exact mu_p probability with p = |<1|psi>|^2 (within 1e-10)."""
     if psi.d != 2:
         raise SpaceMismatch(f"binary sequence space needs qubit sites, got d={psi.d}")
-    weights = np.abs(power_vector(psi, n)) ** 2  # checks the dense cap
-    quantum = float(weights @ _indicator(expr, n))
+    sites = involved_sites(expr)
+    if max(sites, default=0) > n:
+        raise SiteBeyondHorizon(f"the expression fixes a site beyond the horizon {n}")
     p = min(max(abs(psi.amplitudes[1]) ** 2, 0.0), 1.0)
-    classical = classical_probability(BernoulliSpec(p), expr)
+    classical = classical_probability(BernoulliSpec(p), expr)  # caps the site count
+    weights = kron_power(np.abs(psi.amplitudes) ** 2, len(sites))
+    quantum = float(weights @ _indicator(expr, sites))
     return quantum, classical

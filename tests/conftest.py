@@ -2,7 +2,7 @@
 
 Oracles here are deliberately independent of the library internals: naive
 Kronecker chains, explicit permutation matrices built by basis-index loops,
-and closed-form binomials via math.comb.
+and closed-form binomials via math.comb, in floats or exact rationals.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import itertools
 import math
 import os
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 
@@ -88,6 +89,17 @@ def binom_window_mass(n: int, p: float, eps: float) -> float:
         if abs(k / n - p) <= eps + 1e-12:
             total += math.comb(n, k) * p**k * (1 - p) ** (n - k)
     return total
+
+
+def exact_binom_window_mass(n: int, p: Fraction, eps: Fraction) -> float:
+    """The same mass in exact rationals, for n where p**k underflows."""
+    a, b = p.numerator, p.denominator
+    total = sum(
+        math.comb(n, k) * a**k * (b - a) ** (n - k)
+        for k in range(n + 1)
+        if abs(Fraction(k, n) - p) <= eps
+    )
+    return float(Fraction(total, b**n))
 
 
 def src_env() -> dict:

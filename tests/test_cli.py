@@ -121,6 +121,16 @@ def test_boolean_check_agreement():
     assert again == report
 
 
+def test_boolean_check_past_the_dense_cap():
+    # an event involves a few sites whatever the horizon, and only they are held
+    report = run_json(
+        "boolean-check", "--instances", "8", "--sites", "1000000", "--rng-seed", "3"
+    )
+    assert [r["sites"] for r in report["records"]] == [10**6] * 8
+    assert report["summary"]["max_abs_error"] <= 1e-10
+    assert report["summary"]["ok"] is True
+
+
 def test_definetti_fit_round_trip():
     report = run_json(
         "definetti-fit", "--atoms", "0.5:0,0,1;0.5:1,0,0", "--sites", "6", "--k-max", "6"
@@ -342,10 +352,21 @@ def test_atom_echo_parses_back_to_the_same_mixture(spec):
     again, echo = cli._parse_atoms(canon)
     assert [w for w, _ in mix.atoms] == [w for w, _ in spec]
     assert [w for w, _ in again.atoms] == [w for w, _ in mix.atoms]
-    # the echo reads each point back from its density matrix, where
+    # _blochs reads each point back from its density matrix, where
     # z = ((1 + z) - (1 - z)) / 2 may round by an ulp of 1 or two
     np.testing.assert_allclose(_blochs(mix), [b for _, b in spec], rtol=0, atol=4.5e-16)
     np.testing.assert_allclose(_blochs(again), _blochs(mix), rtol=0, atol=4.5e-16)
+
+
+@settings(deadline=None)
+@given(_atom_specs())
+def test_atom_echo_is_a_fixed_point(spec):
+    text = _atoms_text(_atom_tokens(spec))
+    _, canon = cli._parse_atoms(text)
+    _, echo = cli._parse_atoms(canon)
+    assert echo == canon
+    # the tokens are float reprs already, so they come back as written
+    assert canon == text
 
 
 def _refused_before_any_fit(text: str) -> None:
@@ -412,3 +433,72 @@ def test_atoms_reject_colliding_points(spec, data):
     f = data.draw(st.floats(0.0, 1.9 * MERGE_DELTA))
     spec[atom : atom + 1] = [(w / 2, b), (w / 2, (1.0 - f) * b)]
     _refused_before_any_fit(_atoms_text(_atom_tokens(spec)))
+
+
+# ------------------------------------------------------- section grammar
+
+_LETTER = st.sampled_from(["X", "Y", "Z", "P0", "P1"])
+_BLANKS = st.text(alphabet=" \t", max_size=2)
+_FORMS = st.sampled_from(
+    [
+        ("{}", _LETTER),
+        ("avg({})", _LETTER),
+        ("sym2({},{})", _LETTER),
+        ("freq({})", st.sampled_from("01")),
+    ]
+)
+
+
+@st.composite
+def _section_variants(draw):
+    """A plain descriptor, and the same one with its letters in random case
+    and blanks around the tokens and the whole."""
+    form, args = draw(_FORMS)
+    plain = [draw(args) for _ in range(form.count("{}"))]
+    varied = [
+        "".join(c.lower() if draw(st.booleans()) else c for c in tok) for tok in plain
+    ]
+    varied = [draw(_BLANKS) + tok + draw(_BLANKS) for tok in varied]
+    return form.format(*plain), draw(_BLANKS) + form.format(*varied) + draw(_BLANKS)
+
+
+def _same_section(a, b) -> bool:
+    return (a.d, a.m) == (b.d, b.m) and np.array_equal(a.seed.entries, b.seed.entries)
+
+
+@given(_section_variants())
+def test_section_echo_parses_back_to_itself(texts):
+    _, text = texts
+    section, canon = cli._parse_section(text)
+    again, echo = cli._parse_section(canon)
+    assert echo == canon
+    assert _same_section(again, section)
+
+
+@given(_section_variants())
+def test_section_case_and_blank_variants_agree(texts):
+    plain, varied = texts
+    section, canon = cli._parse_section(plain)
+    other, other_canon = cli._parse_section(varied)
+    assert other_canon == canon
+    assert _same_section(other, section)
+
+
+_MALFORMED_SECTIONS = st.one_of(
+    # the identity is in the shared Pauli table but not in the grammar
+    st.sampled_from(["I", " i ", "avg(I)", "sym2(I,X)", "sym2(Z,i)"]),
+    # a frequency outcome other than 0 or 1
+    st.integers(2, 99).map(lambda k: f"freq({k})"),
+    st.sampled_from(["freq(-1)", "freq(+1)", "freq()", "freq(x)", "freq(0,1)"]),
+    # a wrong letter count
+    st.sampled_from(["avg()", "avg(X,Z)", "sym2(X)", "sym2(X,Y,Z)", "sym2()", "sym2(X,)"]),
+    # an unknown kind or letter, or a missing or stray character
+    st.sampled_from(["", "foo(X)", "avg(X", "avgX)", "avg(X))", "avg(X)Z", "avg (X)", "(X)"]),
+    st.sampled_from(["XZ", "P2", "avg(Q)", "sym2(X,P)"]),
+)
+
+
+@given(_MALFORMED_SECTIONS)
+def test_section_rejects_malformed_text(text):
+    with pytest.raises(cli.BadFlag):
+        cli._parse_section(text)

@@ -1,6 +1,8 @@
-"""Each demo script runs clean and prints something."""
+"""Each demo script, and each python block of the README, runs clean and
+prints something."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,17 +10,24 @@ import pytest
 
 from conftest import src_env
 
-DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def _run_clean(argv):
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.strip()) > 0
 
 
 @pytest.mark.parametrize("script", sorted(DEMO_DIR.glob("*.py")), ids=lambda p: p.stem)
 def test_demo_runs(script):
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=src_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.strip()) > 0
+    _run_clean([sys.executable, str(script)])
+
+
+@pytest.mark.parametrize(
+    "block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))]
+)
+def test_readme_python_block_runs(block):
+    _run_clean([sys.executable, "-c", block])

@@ -92,6 +92,19 @@ def test_kron_power_is_the_kron_fold_bit_for_bit(arr, n):
     assert got.tobytes() == fold.tobytes()
 
 
+@given(
+    st.one_of(
+        hnp.arrays(np.complex128, st.integers(2, 4), elements=_ENTRY),
+        hnp.arrays(np.complex128, (2, 2), elements=_ENTRY),
+    )
+)
+def test_kron_power_zero_is_the_empty_product(arr):
+    unit = np.ones(1) if arr.ndim == 1 else np.eye(1)
+    empty = kron_power(arr, 0)
+    assert empty.shape == unit.shape and np.array_equal(empty, unit)
+    assert np.array_equal(np.kron(empty, arr), arr)
+
+
 def test_operator_entries_frozen():
     a = op(SX)
     with pytest.raises(ValueError):

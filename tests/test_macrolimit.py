@@ -8,6 +8,7 @@ product-state supremum, and closed-form frequency spectra.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import macrofield.macrolimit as macrolimit
-from conftest import I2, P1, SX, SY, SZ, binom_window_mass, haar_qubit, kron_chain
+from conftest import (
+    I2,
+    P1,
+    SX,
+    SY,
+    SZ,
+    binom_window_mass,
+    exact_binom_window_mass,
+    haar_qubit,
+    kron_chain,
+)
 from macrofield.linalg import Operator, SiteSpace, commutator, site_sum, spectral_norm
 from macrofield.macrolimit import (
     BadWindow,
@@ -39,7 +50,7 @@ from macrofield.sections import (
     frequency_operator,
     materialize,
 )
-from macrofield.states import PureState, expect, pure_power
+from macrofield.states import PureState, expect, power_vector, pure_power
 
 
 def op1(arr) -> Operator:
@@ -279,6 +290,10 @@ def test_window_bad_arguments():
     psi3 = PureState(3, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(BadWindow):
         window_mass(psi3, P1_SPEC, 2, 0.1)
+    with pytest.raises(BadWindow):
+        born_curve(psi3, P1_SPEC, [2])
+    with pytest.raises(BadWindow):
+        deviation_norm(psi3, P1_SPEC, 2)
 
 
 # ---------------------------------------------------------------- window mass
@@ -376,3 +391,52 @@ def test_frequency_routes_match_dense_eig_oracle(seed, kind, n, eps):
     [(_, born)] = born_curve(psi, spec, [n])
     assert abs(born - weights @ w) <= 1e-12
     assert abs(deviation_norm(psi, spec, n) - np.sqrt(weights @ (w - p) ** 2)) <= 1e-12
+
+
+# ---------------------------------------------------------------- count route
+
+
+def _vector_route(psi: PureState, spec: FrequencySpec, n: int):
+    """Frequency per basis index of the n-fold product of the projector's
+    eigenbasis u (the Kronecker sum of its eigenvalues over n), and the
+    weight |power_vector(u^dagger psi)|^2 of psi^(x)n on it."""
+    w, u = np.linalg.eigh(spec.projector.entries)
+    freq = w
+    for _ in range(n - 1):
+        freq = np.add.outer(freq, w).reshape(-1)
+    rotated = PureState(spec.d, u.conj().T @ psi.amplitudes)
+    return freq / n, np.abs(power_vector(rotated, n)) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["qubit", "qutrit-rank1", "qutrit-rank2"]),
+    st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]),
+    st.data(),
+)
+def test_count_route_matches_the_vector_route(seed, kind, eps, data):
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, kind)
+    psi = PureState(spec.d, _unit(rng, spec.d))
+    ns = sorted(data.draw(st.sets(st.integers(1, 12 if spec.d == 2 else 8), min_size=1)))
+    p = float(np.vdot(psi.amplitudes, spec.projector.entries @ psi.amplitudes).real)
+    curve = dict(born_curve(psi, spec, ns))
+    for n in ns:
+        freq, weights = _vector_route(psi, spec, n)
+        inside = (freq >= p - eps - 1e-12) & (freq <= p + eps + 1e-12)
+        assert abs(curve[n] - weights @ freq) <= 1e-12
+        assert abs(window_mass(psi, spec, n, eps).mass - weights[inside].sum()) <= 1e-12
+        assert abs(deviation_norm(psi, spec, n) - np.sqrt(weights @ (freq - p) ** 2)) <= 1e-12
+
+
+def test_count_route_reaches_ten_thousand_sites():
+    # d**n is 2**10000 here; only the outcome count is held
+    n = 10**4
+    psi = PureState(2, np.array([0.8, 0.6]))
+    q = abs(psi.amplitudes[1]) ** 2
+    [(_, born)] = born_curve(psi, P1_SPEC, [n])
+    assert abs(born - q) <= 1e-12
+    assert abs(deviation_norm(psi, P1_SPEC, n) - math.sqrt(q * (1 - q) / n)) <= 1e-12
+    want = exact_binom_window_mass(n, Fraction(9, 25), Fraction(1, 100))
+    assert abs(window_mass(psi, P1_SPEC, n, 0.01).mass - want) <= 1e-12

@@ -97,6 +97,28 @@ def test_density_matrix_validation():
         DensityMatrix(2, np.array([[0.5, 0.3], [0.1, 0.5]]))
 
 
+@pytest.mark.parametrize(
+    "one_site",
+    [
+        [[np.nan, 0], [0, 1]],
+        [[0.5, np.nan], [np.nan, 0.5]],
+        [[0.5, 0.5j * np.nan], [0.5j * np.nan, 0.5]],
+        [[np.inf, 0], [0, -np.inf]],
+    ],
+)
+def test_non_finite_states_are_rejected(one_site):
+    # every comparison with NaN is false, so no other check catches these
+    arr = np.array(one_site, dtype=complex)
+    with pytest.raises(InvalidState):
+        DensityMatrix(2, arr)
+    two_site = np.zeros((4, 4), dtype=complex)
+    two_site[:2, :2] = arr  # |0><0| (x) arr
+    with pytest.raises(InvalidState):
+        NSiteState(SiteSpace(2, 2), two_site)
+    # an unvalidated state is taken as given
+    NSiteState(SiteSpace(2, 2), two_site, validate=False)
+
+
 def test_pure_state_validation():
     with pytest.raises(InvalidState):
         PureState(2, np.array([1.0, 1.0]))

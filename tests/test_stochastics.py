@@ -2,7 +2,8 @@
 
 Classical reference probabilities come from hand arithmetic (p, p^2, 1 - p)
 and from the Hoeffding bound computed inline; projection oracles are explicit
-Kronecker diagonals.
+Kronecker diagonals, and the involved-site route is checked against the
+indicator over all 2**n basis sequences.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import macrofield.stochastics as stochastics
 from conftest import haar_qubit
 from macrofield.linalg import PROJ_0, PROJ_1, SpaceMismatch, embed_at_site, spectral_norm
-from macrofield.states import PureState
+from macrofield.states import PureState, power_vector
 from macrofield.stochastics import (
     And,
     BernoulliSpec,
@@ -219,3 +221,49 @@ def test_classical_probability_site_cap():
     assert len(involved_sites(extra)) == 17
     with pytest.raises(TooManySites):
         classical_probability(BernoulliSpec(0.5), extra)
+
+
+# ---------------------------------------------------------------- involved sites
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6))
+def test_involved_site_route_matches_the_full_indicator(seed, n, max_leaves):
+    rng = np.random.default_rng(seed)
+    expr = random_expression(rng, n, max_leaves)
+    psi = PureState(2, haar_qubit(rng))
+    full = stochastics._indicator(expr, tuple(range(1, n + 1)))
+    want = np.abs(power_vector(psi, n)) ** 2 @ full
+    quantum, _ = quantum_classical_agreement(psi, expr, n)
+    assert abs(quantum - want) <= 1e-12
+
+
+def test_agreement_past_the_dense_cap():
+    rng = np.random.default_rng(2024)
+    n = 10**6
+    for _ in range(10):
+        psi = PureState(2, haar_qubit(rng))
+        expr = random_expression(rng, n, 6)
+        quantum, classical = quantum_classical_agreement(psi, expr, n)
+        assert abs(quantum - classical) <= 1e-12
+
+
+def test_agreement_checks_sites_before_allocating(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the quantum side allocated before the site checks")
+
+    monkeypatch.setattr(stochastics, "kron_power", must_not_run)
+    monkeypatch.setattr(stochastics, "_indicator", must_not_run)
+    psi = PureState(2, np.array([0.8, 0.6]))
+    wide = Or(Leaf(CylinderEvent({k: 1 for k in range(1, 17)})), cylinder(10**6, 0))
+    with pytest.raises(TooManySites):
+        quantum_classical_agreement(psi, wide, 10**6)
+    with pytest.raises(SiteBeyondHorizon):
+        quantum_classical_agreement(psi, And(cylinder(2, 1), cylinder(5, 0)), 4)
+
+
+def test_agreement_on_a_leaf_without_constraints():
+    psi = PureState(2, np.array([0.8, 0.6]))
+    sure = Leaf(CylinderEvent({}))
+    assert quantum_classical_agreement(psi, sure, 3) == (1.0, 1.0)
+    assert quantum_classical_agreement(psi, Not(sure), 3) == (0.0, 0.0)
