@@ -1,9 +1,8 @@
-"""Multi-start Nelder-Mead for generic objectives of one-site states, d <= 4.
+"""Multi-start Nelder-Mead for generic objectives of one qubit state.
 
-d = 2 runs over the closed Bloch ball (3 coordinates, radial projection onto
-the ball); d = 3, 4 run over purification coordinates W with rho = WW*/tr(WW*).
-Starts are deterministic: 6 axis poles plus 26 low-discrepancy interior points
-for the ball, fixed-seed Gaussian matrices for purifications.
+The search runs over the closed Bloch ball (3 coordinates, radial projection
+onto the ball). Starts are deterministic: 6 axis poles plus 26
+low-discrepancy interior points.
 """
 
 from __future__ import annotations
@@ -55,42 +54,19 @@ def rho_from_ball(v: np.ndarray) -> np.ndarray:
     return _bloch_entries(*project_ball(v))
 
 
-def rho_from_purification(params: np.ndarray, d: int) -> np.ndarray:
-    w = params[: d * d].reshape(d, d) + 1j * params[d * d :].reshape(d, d)
-    g = w @ w.conj().T
-    tr = float(g.trace().real)
-    if tr <= 0.0:
-        return np.eye(d, dtype=np.complex128) / d
-    return g / tr
-
-
-def _purification_starts(d: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(0xA11CE))
-    return rng.standard_normal((N_STARTS, 2 * d * d))
-
-
-def maximize_over_states(fn, d: int):
-    """Maximize fn(rho_entries) over one-site states, d <= 4, by multi-start
-    Nelder-Mead to XATOL and FATOL.
+def maximize_over_states(fn):
+    """Maximize fn(rho_entries) over qubit states by multi-start Nelder-Mead
+    to XATOL and FATOL.
 
     Returns (best value, best rho entries).  Raises OptimizerFailed when no
     start converges; the reported value is the max over all starts.
     """
-    if d == 2:
-        starts = ball_starts()
-        chart = rho_from_ball
-    elif d in (3, 4):
-        starts = _purification_starts(d)
-        chart = lambda p: rho_from_purification(p, d)  # noqa: E731
-    else:
-        raise OptimizerFailed(f"no state chart for d={d} (need d <= 4)")
-
     best_val = -math.inf
     best_rho = None
     converged = 0
-    for x0 in starts:
+    for x0 in ball_starts():
         res = minimize(
-            lambda p: -fn(chart(p)),
+            lambda p: -fn(rho_from_ball(p)),
             x0,
             method="Nelder-Mead",
             options=dict(xatol=XATOL, fatol=FATOL, maxiter=MAXITER, maxfev=2 * MAXITER),
@@ -100,7 +76,7 @@ def maximize_over_states(fn, d: int):
         val = -float(res.fun)
         if val > best_val:
             best_val = val
-            best_rho = chart(res.x)
+            best_rho = rho_from_ball(res.x)
     if converged == 0:
         raise OptimizerFailed("no Nelder-Mead start converged")
     return best_val, best_rho

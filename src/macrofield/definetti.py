@@ -1,11 +1,14 @@
 """Finite-atom decompositions of permutation-invariant qubit states.
 
-fit_mixture works in one representation: the real coefficients of an
-operator in the orthonormal Pauli product basis, sigma_a/sqrt(2) on each
-site, where the Frobenius inner product is the Euclidean dot product. The
-target is converted once; the product power of the qubit state at Bloch
-point b is the Kronecker power of (1, b)/sqrt(2), and atoms are Bloch
-points until the result is built.
+fit_mixture works in one representation of permutation-invariant
+operators. In the orthonormal Pauli product basis, sigma_a/sqrt(2) on each
+site, such an operator gives the same coefficient to every string with the
+same counts beta of I, X, Y and Z. It is stored once per count vector, times
+sqrt(n!/beta!), the root of the number of such strings: C(n+3, 3)
+coordinates, whose dot product is the Frobenius inner product. The target
+is converted once; the product power of the qubit state at Bloch point b
+has coordinates sqrt(n!/beta!) u^beta with u = (1, b)/sqrt(2), and atoms
+are Bloch points until the result is built.
 
 The fit is a conditional-gradient loop: each step adds the product power
 best correlated with the current residual, found by projected gradient
@@ -20,14 +23,17 @@ sections do not move with n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from ._optim import ball_starts, project_ball
-from .linalg import PAULI, MacrofieldError, SiteSpace, SpaceMismatch, kron_power
+from .linalg import MacrofieldError, SiteSpace, SpaceMismatch, kron_power
 from .sections import BadOrder, SymmetricSection
 from .states import (
     DensityMatrix,
@@ -112,25 +118,6 @@ class FitResult:
                 raise ValueError("recorded residuals must be nonincreasing")
 
 
-# one-site basis I/2, X/2, Y/2, Z/2; rho = [1, x, y, z] against this basis
-_HALF_BASIS = 0.5 * np.stack([PAULI[k].entries for k in "IXYZ"])
-# column alpha holds h_alpha[j, i] at flat row index i*2 + j
-_MOMENT_MAT = np.stack([_HALF_BASIS[a].T.reshape(4) for a in range(4)], axis=1)
-
-
-def _pauli_tensor(arr: np.ndarray, n: int) -> np.ndarray:
-    """Real tensor c with tr(arr . rho_1 x ... x rho_n) = c contracted with
-    the per-site moment vectors (1, x_k, y_k, z_k). Hermitian input only."""
-    cur = arr.reshape((2,) * (2 * n))
-    order = []
-    for k in range(n):
-        order += [k, k + n]
-    cur = cur.transpose(order).reshape((4,) * n)
-    for _ in range(n):
-        cur = np.tensordot(cur, _MOMENT_MAT, axes=([0], [0]))
-    return np.ascontiguousarray(cur.real)
-
-
 def mixture_state(mix: DiscreteMixture, n: int) -> NSiteState:
     """The n-site state sum_i w_i rho_i^(x)n; permutation-invariant by
     construction, so validation is skipped."""
@@ -140,7 +127,7 @@ def mixture_state(mix: DiscreteMixture, n: int) -> NSiteState:
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
     for w, rho in mix.atoms:
         out += w * kron_power(rho.entries, n)
-    return NSiteState(space, out, is_symmetric=True, validate=False)
+    return NSiteState(space, out, validate=False)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -153,40 +140,93 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-# d u / d b for u = (1, b)/sqrt(2): row c is the basis vector e_(1+c)/sqrt(2)
-_DU = np.eye(4)[1:] / math.sqrt(2.0)
+class _Classes(NamedTuple):
+    # (K, n) sorted site labels, 0..3 for I, X, Y, Z
+    labels: np.ndarray
+    # (K, 4) label counts beta
+    beta: np.ndarray
+    # (K,) sqrt(n! / beta!), the root of the number of strings in the class
+    mult: np.ndarray
+    # (K, 4) index of beta - e_a among the classes of n - 1 labels; 0 where beta_a = 0
+    down: np.ndarray
+
+
+@functools.cache
+def _classes(n: int) -> _Classes:
+    """The C(n+3, 3) multisets of n Pauli labels, in the order of
+    combinations_with_replacement."""
+    rows = list(combinations_with_replacement(range(4), n))
+    labels = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+    beta = np.stack([(labels == a).sum(axis=1) for a in range(4)], axis=1)
+    mult = np.sqrt([math.factorial(n) // math.prod(map(math.factorial, b)) for b in beta])
+    down = np.zeros((len(rows), 4), dtype=np.intp)
+    if n:
+        lower = {row: i for i, row in enumerate(combinations_with_replacement(range(4), n - 1))}
+        for i, row in enumerate(rows):
+            for a in set(row):
+                j = row.index(a)
+                down[i, a] = lower[row[:j] + row[j + 1 :]]
+    for arr in (labels, beta, mult, down):
+        arr.flags.writeable = False
+    return _Classes(labels, beta, mult, down)
 
 
 def _coords(arr: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of a Hermitian n-site matrix in the orthonormal Pauli
-    product basis; tr(AB) is the dot product of the coefficients."""
-    return 2.0 ** (n / 2) * _pauli_tensor(arr, n).ravel()
+    """The C(n+3, 3) coordinates of a permutation-invariant Hermitian n-site
+    matrix A. One Pauli string per class is read, so the result means
+    nothing for a matrix that is not permutation-invariant.
+
+    tr(A P) = i^#Y sum_x A[x, x ^ flip] (-1)^popcount(x & signed), where
+    X and Y flip a site's bit and Y and Z sign it; site 1 is the leading bit.
+    """
+    cls = _classes(n)
+    site_bits = 1 << np.arange(n - 1, -1, -1)
+    flip = np.isin(cls.labels, (1, 2)) @ site_bits
+    signed = (cls.labels >= 2) @ site_bits
+    x = np.arange(1 << n)
+    # bitwise_count returns uint8, where 1 - 2 * parity would wrap
+    parity = np.bitwise_count(x & signed[:, None]).astype(np.intp) & 1
+    sums = (arr[x, x ^ flip[:, None]] * (1 - 2 * parity)).sum(axis=1)
+    traces = np.array([1, 1j, -1, -1j])[cls.beta[:, 2] % 4] * sums
+    return cls.mult * traces.real / 2.0 ** (n / 2)
 
 
 def _powers(blochs: np.ndarray, n: int) -> np.ndarray:
-    """One row per Bloch point b: the coefficients of rho(b)^(x)n, formed for
-    all rows at once by kron_power's chain of products of (1, b)/sqrt(2)."""
+    """One row per Bloch point b: the coordinates of rho(b)^(x)n, whose Pauli
+    coefficient on a string with label counts beta is u^beta, u = (1, b)/sqrt(2)."""
     u = np.column_stack([np.ones(len(blochs)), blochs]) / math.sqrt(2.0)
-    rows = np.ones((len(u), 1))
-    for _ in range(n):
-        rows = (rows[:, :, None] * u[:, None, :]).reshape(len(u), -1)
-    return rows
+    cls = _classes(n)
+    return np.prod(u[:, cls.labels], axis=2) * cls.mult
+
+
+def _power_grads(blochs: np.ndarray, n: int) -> np.ndarray:
+    """(B, 3, K) derivatives of _powers(blochs, n) along the Bloch axes.
+
+    As sqrt(n!/beta!) beta_a = sqrt(n beta_a) sqrt((n-1)!/(beta - e_a)!), the
+    u_a derivative of coordinate beta is sqrt(n beta_a) times coordinate
+    beta - e_a of degree n - 1; u_a moves with b_(a-1) at rate 1/sqrt(2).
+    """
+    cls = _classes(n)
+    return _powers(blochs, n - 1)[:, cls.down[:, 1:].T] * np.sqrt(n * cls.beta[:, 1:].T / 2.0)
 
 
 def _correlate(c: np.ndarray, blochs: np.ndarray, n: int):
-    """Values and Bloch gradients of tr(C rho(b)^(x)n) for the rows b of a
-    (B, 3) array, C permutation-invariant with coefficients c.
+    """Values and Bloch gradients of f(b) = tr(C rho(b)^(x)n) for the rows b
+    of a (B, 3) array, C permutation-invariant with coordinates c.
 
-    All slots but the first are contracted with u = (1, b)/sqrt(2), the
-    trailing half by one matrix product whose output is no larger than c.
-    The first slot stands for any of the n, so the gradient is n times the
-    b part of what is left, over sqrt(2).
+    f is a homogeneous polynomial of degree n in u = (1, b)/sqrt(2). Its u
+    gradient is c scattered into a table over the coordinates of degree
+    n - 1, as in _power_grads, and evaluated at all points by one matrix
+    product. The value follows by Euler's identity f = u . grad_u f / n, and
+    the Bloch gradient is the b part of grad_u f over sqrt(2).
     """
-    half = n // 2
-    part = c.reshape(-1, 4**half) @ _powers(blochs, half).T
-    part = np.einsum("ijb,bj->ib", part.reshape(4, -1, len(blochs)), _powers(blochs, n - half - 1))
-    u = _powers(blochs, 1)
-    return (part * u.T).sum(axis=0), n * part[1:].T / math.sqrt(2.0)
+    cls = _classes(n)
+    hit = cls.beta > 0
+    table = np.zeros((math.comb(n + 2, 3), 4))
+    table[cls.down[hit], np.nonzero(hit)[1]] = (c[:, None] * np.sqrt(n * cls.beta))[hit]
+    grad_u = _powers(blochs, n - 1) @ table
+    vals = (grad_u[:, 0] + (grad_u[:, 1:] * blochs).sum(axis=1)) / (n * math.sqrt(2.0))
+    return vals, grad_u[:, 1:] / math.sqrt(2.0)
 
 
 def _best_vertex(c: np.ndarray, n: int) -> np.ndarray:
@@ -288,15 +328,9 @@ def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
         return x[:k] @ _powers(x[k:].reshape(k, 3), n) - t
 
     def _jac(x: np.ndarray) -> np.ndarray:
-        jac = np.empty((t.size, 4 * k))
-        for i, b in enumerate(x[k:].reshape(k, 3)):
-            u = np.append(1.0, b) / math.sqrt(2.0)
-            jac[:, i] = kron_power(u, n)
-            # product rule: d u^(x)n / d b puts d u / d b in each site slot in turn
-            rest = kron_power(u, n - 1)
-            slots = (rest.reshape(1, 4**s, 1, -1) * _DU[:, None, :, None] for s in range(n))
-            jac[:, k + 3 * i : k + 3 * i + 3] = x[i] * sum(g.reshape(3, -1) for g in slots).T
-        return jac
+        b = x[k:].reshape(k, 3)
+        grads = x[:k, None, None] * _power_grads(b, n)
+        return np.vstack([_powers(b, n), grads.reshape(3 * k, -1)]).T
 
     # MINPACK's lm needs at least as many residuals as parameters
     method = "lm" if t.size >= 4 * k else "trf"
@@ -314,20 +348,19 @@ def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
 
 
 def _settle(t: np.ndarray, n: int, blochs: np.ndarray, w0: np.ndarray):
-    """Simplex weights of the atoms and the residual coefficients they leave."""
+    """Simplex weights of the atoms and the residual coordinates they leave."""
     powers = _powers(blochs, n)
     w = _solve_weights(t, powers, w0)
     return w, t - w @ powers
 
 
 def _round(t: np.ndarray, n: int, blochs: np.ndarray, w0: np.ndarray):
-    """One fit round on the given atoms: solve the weights, refine all atoms
-    jointly when affordable and keep the refinement only if it is not
-    worse, then merge colliding atoms and re-solve. Returns the atoms, the
-    weights and the residual coefficients."""
+    """One fit round on the given atoms: solve the weights, refine up to 8
+    atoms jointly and keep the refinement only if it is not worse, then
+    merge colliding atoms and re-solve. Returns the atoms, the weights and
+    the residual coordinates."""
     w, r = _settle(t, n, blochs, w0)
-    # the refinement jacobian holds 4^n * 4k reals; cap the footprint
-    if len(blochs) <= 8 and t.size * 4 * len(blochs) <= (1 << 23):
+    if len(blochs) <= 8:
         r_blochs, r_w = _refine(t, n, blochs, w)
         r_w, r_r = _settle(t, n, r_blochs, r_w)
         if np.linalg.norm(r_r) <= np.linalg.norm(r):

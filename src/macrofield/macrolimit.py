@@ -130,7 +130,7 @@ def fit_decay_exponent(records: list[DecayRecord], points: int = 5) -> float:
 
 
 def product_state_sup(section: SymmetricSection, n: int) -> float:
-    """sup over product states of |<omega^(x)n, A_n>|.
+    """sup over product states of |<omega^(x)n, A_n>| for a qubit section.
 
     Product-state expectations of a symmetric section do not depend on n, so
     the optimizer runs on the m-site seed; n is validated and recorded only.
@@ -139,15 +139,15 @@ def product_state_sup(section: SymmetricSection, n: int) -> float:
         raise BadOrder("product-state supremum is defined for symmetric sections")
     if n < section.m:
         raise BadOrder(f"n={n} below the seed order {section.m}")
-    if section.d > 4:
-        raise OptimizerFailed(f"no state chart for d={section.d}")
+    if section.d != 2:
+        raise OptimizerFailed(f"no state chart for d={section.d} (qubits only)")
     seed = section.seed.entries
     m = section.m
 
     def objective(rho: np.ndarray) -> float:
         return abs(complex(np.einsum("ij,ji->", kron_power(rho, m), seed)))
 
-    value, _ = maximize_over_states(objective, section.d)
+    value, _ = maximize_over_states(objective)
     return value
 
 

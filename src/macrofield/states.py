@@ -2,9 +2,8 @@
 expectations, and the seed-level limit value of a symmetric section.
 
 Pure states are a convenience wrapper; everything of substance happens at the
-density-matrix level.  N-site states carry an is_symmetric flag set by the
-constructors that guarantee it (product powers, mixtures of product powers);
-is_permutation_invariant checks the actual property, not the flag.
+density-matrix level.  is_permutation_invariant checks whether an n-site
+state is fixed by every permutation of its sites.
 """
 
 from __future__ import annotations
@@ -99,18 +98,11 @@ class PureState:
 
 
 class NSiteState:
-    """Density matrix on an n-site space, tagged with a symmetry flag."""
+    """Density matrix on an n-site space."""
 
-    __slots__ = ("space", "rho", "is_symmetric")
+    __slots__ = ("space", "rho")
 
-    def __init__(
-        self,
-        space: SiteSpace,
-        rho,
-        *,
-        is_symmetric: bool = False,
-        validate: bool = True,
-    ):
+    def __init__(self, space: SiteSpace, rho, *, validate: bool = True):
         arr = np.asarray(rho, dtype=np.complex128)
         if arr.shape != (space.dim, space.dim):
             raise SpaceMismatch(f"rho shape {arr.shape} does not match dim {space.dim}")
@@ -128,7 +120,6 @@ class NSiteState:
         arr.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "rho", arr)
-        object.__setattr__(self, "is_symmetric", bool(is_symmetric))
 
     def __setattr__(self, name, value):
         raise AttributeError("NSiteState is immutable")
@@ -164,7 +155,7 @@ def product_power(rho: DensityMatrix, n: int) -> NSiteState:
         raise SpaceMismatch(f"need n >= 1, got {n}")
     space = SiteSpace(rho.d, n)  # raises DimensionOverflow beyond the dense cap
     # positivity and unit trace are inherited from the factor, skip re-validation
-    return NSiteState(space, kron_power(rho.entries, n), is_symmetric=True, validate=False)
+    return NSiteState(space, kron_power(rho.entries, n), validate=False)
 
 
 def power_vector(psi: PureState, n: int) -> np.ndarray:
@@ -175,9 +166,7 @@ def power_vector(psi: PureState, n: int) -> np.ndarray:
 
 def pure_power(psi: PureState, n: int) -> NSiteState:
     v = power_vector(psi, n)
-    return NSiteState(
-        SiteSpace(psi.d, n), np.outer(v, v.conj()), is_symmetric=True, validate=False
-    )
+    return NSiteState(SiteSpace(psi.d, n), np.outer(v, v.conj()), validate=False)
 
 
 def expect(state: NSiteState, a: Operator) -> float:

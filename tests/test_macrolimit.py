@@ -157,12 +157,22 @@ def test_sup_sym2_xz_matches_bloch_grid():
     assert abs(lib - 0.5) <= 1e-6
 
 
-def test_sup_validations():
+def test_sup_validations(monkeypatch):
     with pytest.raises(BadOrder):
         product_state_sup(sym2_section(SX, SX), 1)
     big = SymmetricSection(5, 1, Operator(SiteSpace(5, 1), np.eye(5, dtype=complex)))
     with pytest.raises(OptimizerFailed):
         product_state_sup(big, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the optimizer ran on a section that is not a qubit's")
+
+    # only the Bloch ball has a state chart; d = 3, 4 must fail before any search
+    monkeypatch.setattr(macrolimit, "maximize_over_states", refuse)
+    for d in (3, 4):
+        seed = np.diag([1.0, 0.0, -2.0, 0.0][:d]).astype(complex)
+        with pytest.raises(OptimizerFailed):
+            product_state_sup(SymmetricSection(d, 1, Operator(SiteSpace(d, 1), seed)), 2)
 
 
 # ---------------------------------------------------------------- norm gap
@@ -227,7 +237,7 @@ def test_block_routes_match_dense_oracle(seed, m1, m2, hermitian, data):
     want = spectral_norm(commutator(materialize(s1, n), materialize(s2, n)))
     assert abs(rec.value - want) <= 1e-12 * max(1.0, want)
     # the supremum is not under test here; skip its optimizer
-    with mock.patch.object(macrolimit, "maximize_over_states", lambda f, d: (0.0, None)):
+    with mock.patch.object(macrolimit, "maximize_over_states", lambda f: (0.0, None)):
         for s in (s1, s2):
             [rec] = norm_gap(s, [n])
             want = spectral_norm(materialize(s, n))

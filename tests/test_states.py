@@ -130,7 +130,6 @@ def test_product_power_mixed_identity():
     half = DensityMatrix(2, np.eye(2) / 2)
     st = product_power(half, 2)
     assert np.allclose(st.rho, np.eye(4) / 4, atol=0)
-    assert st.is_symmetric
 
 
 def test_product_power_projector():
@@ -279,15 +278,6 @@ def test_swap_mixture_is_invariant():
     rho[1, 1] = 0.5
     rho[2, 2] = 0.5  # (|01><01| + |10><10|)/2
     st = NSiteState(SiteSpace(2, 2), rho)
-    assert is_permutation_invariant(st)
-
-
-def test_symmetry_flag_consistency():
-    rng = np.random.default_rng(271)
-    amps = haar_qubit(rng)
-    dm = DensityMatrix(2, np.outer(amps, amps.conj()))
-    st = product_power(dm, 4)
-    assert st.is_symmetric
     assert is_permutation_invariant(st)
 
 
