@@ -26,11 +26,11 @@ def main() -> None:
 
     print(f"state (0.8, 0.6), outcome weight p = {p:.4f}")
     print(f"{'n':>3}  {'expectation':>14}  {'deviation':>12}  {'rate':>12}  {'mass(eps=0.15)':>15}")
-    for n, value in born_curve(psi, spec, range(1, 11)):
+    masses = window_mass(psi, spec, range(1, 11), 0.15)
+    for (n, value), rec in zip(born_curve(psi, spec, range(1, 11)), masses):
         dev = deviation_norm(psi, spec, n)
         rate = (p * (1 - p) / n) ** 0.5
-        mass = window_mass(psi, spec, n, 0.15).mass
-        print(f"{n:>3}  {value:>14.12f}  {dev:>12.6f}  {rate:>12.6f}  {mass:>15.6f}")
+        print(f"{n:>3}  {value:>14.12f}  {dev:>12.6f}  {rate:>12.6f}  {rec.mass:>15.6f}")
     print("expectation column is flat; deviation tracks sqrt(p(1-p)/n) exactly")
 
 

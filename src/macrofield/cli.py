@@ -225,10 +225,10 @@ def _cmd_window_mass(args):
     SiteSpace(psi.d, n_list[-1])  # the cap for this d, before any n runs
     if args.epsilon <= 0.0:
         raise BadFlag(f"window half-width must be positive, got {args.epsilon}")
-    records = []
-    for n in n_list:
-        r = window_mass(psi, spec, n, args.epsilon)
-        records.append({"n": r.n, "epsilon": float(r.epsilon), "mass": float(r.mass)})
+    records = [
+        {"n": r.n, "epsilon": float(r.epsilon), "mass": float(r.mass)}
+        for r in window_mass(psi, spec, n_list, args.epsilon)
+    ]
     config = {
         "psi": [float(a.real) for a in psi.amplitudes],
         "lambda": args.lam,

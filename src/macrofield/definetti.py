@@ -30,9 +30,8 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from ._optim import ball_starts, project_ball
+from ._optim import maximize_on_ball, project_ball
 from .linalg import MacrofieldError, SiteSpace, SpaceMismatch, kron_power
 from .sections import BadOrder, SymmetricSection
 from .states import (
@@ -61,9 +60,6 @@ MERGE_DELTA = 1e-2
 IMPROVEMENT_TOL = 1e-9
 # projected-gradient steps of the simplex weight solve
 WEIGHT_ITERS = 500
-# steps of the batched vertex search; a start stops once its step is below the tolerance
-VERTEX_ITERS = 500
-VERTEX_STEP_TOL = 1e-7
 
 
 class NotSymmetric(MacrofieldError):
@@ -230,33 +226,9 @@ def _correlate(c: np.ndarray, blochs: np.ndarray, n: int):
 
 
 def _best_vertex(c: np.ndarray, n: int) -> np.ndarray:
-    """The Bloch point whose product power correlates best with c.
-
-    Projected gradient ascent from all of ball_starts() at once. Each start
-    moves by its own step along its normalized gradient, less its outward
-    part on the sphere, which would stall it there. The step doubles when
-    the move gains and halves when not, down to VERTEX_STEP_TOL.
-    """
-    blochs = ball_starts()
-    vals, grads = _correlate(c, blochs, n)
-    # a quarter of the ball's radius
-    steps = np.full(len(blochs), 0.25)
-    for _ in range(VERTEX_ITERS):
-        live = np.flatnonzero(steps >= VERTEX_STEP_TOL)
-        if not live.size:
-            break
-        b, g = blochs[live], grads[live]
-        outward = np.maximum((b * g).sum(axis=1, keepdims=True), 0.0)
-        g = g - outward * b * (np.linalg.norm(b, axis=1, keepdims=True) >= 1.0 - 1e-12)
-        lengths = np.linalg.norm(g, axis=1, keepdims=True)
-        cand = b + steps[live, None] * g / np.maximum(lengths, 1e-300)
-        cand /= np.maximum(np.linalg.norm(cand, axis=1, keepdims=True), 1.0)
-        c_vals, c_grads = _correlate(c, cand, n)
-        gain = c_vals > vals[live]
-        moved = live[gain]
-        blochs[moved], vals[moved], grads[moved] = cand[gain], c_vals[gain], c_grads[gain]
-        steps[live] *= np.where(gain, 2.0, 0.5)
-    return blochs[np.argmax(vals)]
+    """The Bloch point whose product power correlates best with c."""
+    best, _ = maximize_on_ball(lambda blochs: _correlate(c, blochs, n))
+    return best
 
 
 def _solve_weights(t: np.ndarray, powers: np.ndarray, w0: np.ndarray) -> np.ndarray:
@@ -321,6 +293,9 @@ def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
     raw weights only start the caller's simplex solve, and the caller
     recomputes the residual before accepting anything.
     """
+    # the CLI's one scipy import, here so that only a fit pays for loading it
+    from scipy.optimize import least_squares
+
     k = len(blochs)
     x0 = np.concatenate([np.asarray(weights, dtype=float), np.ravel(blochs)])
 

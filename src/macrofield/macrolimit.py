@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import OptimizerFailed, maximize_over_states
+from ._optim import OptimizerFailed, maximize_on_ball
+from .definetti import _coords, _correlate
 from .linalg import (
     MacrofieldError,
     Operator,
@@ -32,6 +33,7 @@ from .sections import (
     SymmetricSection,
     materialize,
     spin_blocks,
+    symmetrize,
 )
 from .states import PureState
 
@@ -133,7 +135,11 @@ def product_state_sup(section: SymmetricSection, n: int) -> float:
     """sup over product states of |<omega^(x)n, A_n>| for a qubit section.
 
     Product-state expectations of a symmetric section do not depend on n, so
-    the optimizer runs on the m-site seed; n is validated and recorded only.
+    the search runs on the m-site seed S; n is validated and recorded only.
+    S = H + iK with H and K Hermitian, and tr(rho^(x)m S) does not change
+    when S is averaged over site permutations, so both parts are symmetrized
+    and read in the multiset chart of the fit. The modulus |f| = hypot(f_H,
+    f_K) and its Bloch gradient go to the batched ball oracle.
     """
     if not isinstance(section, SymmetricSection):
         raise BadOrder("product-state supremum is defined for symmetric sections")
@@ -141,13 +147,20 @@ def product_state_sup(section: SymmetricSection, n: int) -> float:
         raise BadOrder(f"n={n} below the seed order {section.m}")
     if section.d != 2:
         raise OptimizerFailed(f"no state chart for d={section.d} (qubits only)")
-    seed = section.seed.entries
     m = section.m
+    seed = symmetrize(section.seed).entries
+    h = _coords((seed + seed.conj().T) / 2, m)
+    k = _coords((seed - seed.conj().T) / 2j, m)
 
-    def objective(rho: np.ndarray) -> float:
-        return abs(complex(np.einsum("ij,ji->", kron_power(rho, m), seed)))
+    def modulus(blochs: np.ndarray):
+        fh, gh = _correlate(h, blochs, m)
+        fk, gk = _correlate(k, blochs, m)
+        val = np.hypot(fh, fk)
+        # where |f| = 0 both parts vanish, so the gradient is 0 for any divisor
+        grad = (fh[:, None] * gh + fk[:, None] * gk) / np.where(val > 0.0, val, 1.0)[:, None]
+        return val, grad
 
-    value, _ = maximize_over_states(objective)
+    _, value = maximize_on_ball(modulus)
     return value
 
 
@@ -214,13 +227,18 @@ def window_projection(spec: FrequencySpec, n: int, p: float, epsilon: float) -> 
     return Operator(space, _matmul(cols, cols.conj().T), copy=False)
 
 
-def window_mass(psi: PureState, spec: FrequencySpec, n: int, epsilon: float) -> WindowMassRecord:
+def window_mass(
+    psi: PureState, spec: FrequencySpec, n_list, epsilon: float
+) -> list[WindowMassRecord]:
     """Weight of the product state psi^(x)n inside the frequency window around
-    its own mean p = <psi| P |psi>."""
-    [(_, w)] = _count_laws(psi, spec, [n])
-    p = min(max(_own_mean(psi, spec), 0.0), 1.0)
-    mass = float(w[_window_mask(np.arange(n + 1) / n, p, epsilon)].sum())
-    return WindowMassRecord(n, float(epsilon), mass)
+    its own mean p = <psi| P |psi>, for each n; one walk of the count law."""
+    records = []
+    for n, w in _count_laws(psi, spec, sorted(set(int(n) for n in n_list))):
+        # read after _count_laws has checked the state against the spec
+        p = min(max(_own_mean(psi, spec), 0.0), 1.0)
+        mass = float(w[_window_mask(np.arange(n + 1) / n, p, epsilon)].sum())
+        records.append(WindowMassRecord(n, float(epsilon), mass))
+    return records
 
 
 def born_curve(psi: PureState, spec: FrequencySpec, n_list) -> list[tuple[int, float]]:

@@ -2,7 +2,8 @@
 
 Oracles here are deliberately independent of the library internals: naive
 Kronecker chains, explicit permutation matrices built by basis-index loops,
-and closed-form binomials via math.comb, in floats or exact rationals.
+closed-form binomials via math.comb, in floats or exact rationals, and a
+scalar Nelder-Mead search over qubit states for the batched ball oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import pathlib
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import minimize
+
+from macrofield._optim import ball_starts
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -80,6 +84,29 @@ def rand_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def haar_qubit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return v / np.linalg.norm(v)
+
+
+def nelder_mead_sup(fn) -> float:
+    """Max of fn(rho) over qubit density matrices rho: one Nelder-Mead run
+    from each of the library's Bloch-ball starts, points outside the ball
+    projected radially onto it."""
+
+    def rho(p: np.ndarray) -> np.ndarray:
+        x, y, z = p / max(1.0, float(np.linalg.norm(p)))
+        return 0.5 * (I2 + x * SX + y * SY + z * SZ)
+
+    best, converged = -math.inf, 0
+    for x0 in ball_starts():
+        res = minimize(
+            lambda p: -fn(rho(p)),
+            x0,
+            method="Nelder-Mead",
+            options=dict(xatol=1e-8, fatol=1e-12, maxiter=2000, maxfev=4000),
+        )
+        converged += bool(res.success)
+        best = max(best, -float(res.fun))
+    assert converged, "no Nelder-Mead start converged"
+    return best
 
 
 def binom_window_mass(n: int, p: float, eps: float) -> float:

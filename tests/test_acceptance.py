@@ -93,12 +93,12 @@ def test_deviation_norm_and_window_mass_match_binomial():
             got = deviation_norm(psi, COUNT_SPEC, n)
             want = (p * (1.0 - p) / n) ** 0.5
             worst_dev = max(worst_dev, abs(got - want))
-            rec = window_mass(psi, COUNT_SPEC, n, 0.15)
+            [rec] = window_mass(psi, COUNT_SPEC, [n], 0.15)
             worst_mass = max(worst_mass, abs(rec.mass - binom_window_mass(n, p, 0.15)))
     balanced = PureState(2, np.array([2 ** -0.5, 2 ** -0.5]))
-    pinned = window_mass(balanced, COUNT_SPEC, 12, 0.15).mass
+    [pinned] = window_mass(balanced, COUNT_SPEC, [12], 0.15)
     # (C(12,5) + C(12,6) + C(12,7)) / 2^12 = 2508 / 4096, worked out by hand
-    assert abs(pinned - 0.6123046875) <= 1e-12
+    assert abs(pinned.mass - 0.6123046875) <= 1e-12
     elapsed = time.perf_counter() - start
     assert worst_dev <= 1e-9
     assert worst_mass <= 1e-9

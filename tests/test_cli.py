@@ -145,6 +145,50 @@ def test_definetti_fit_round_trip():
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-3
 
 
+# norm-gap and commutator-decay through cli.run in a fresh interpreter, the
+# scipy modules loaded after them, then a fit's report and the modules after it
+_IMPORT_PATH_SCRIPT = """
+import contextlib, io, json, sys
+import macrofield
+from macrofield import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run([*argv, "--no-timestamp"]) == 0
+    return json.loads(out.getvalue())
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+run("norm-gap", "--section", "sym2(X,Z)", "--n", "2..4")
+run("commutator-decay", "--seed1", "X", "--seed2", "Y", "--n", "2..4")
+before = scipy_modules()
+fit = run("definetti-fit", "--atoms", "0.5:0,0,1;0.5:1,0,0", "--sites", "4", "--k-max", "4")
+print(json.dumps({"before": before, "fit": fit, "after": scipy_modules()}))
+"""
+
+
+def test_sweeps_leave_scipy_unloaded_and_the_fit_loads_it():
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["before"] == []
+    assert "scipy.optimize" in out["after"]
+    fit = out["fit"]
+    assert fit["summary"]["residual"] <= 1e-6
+    atoms = sorted((rec["x"], rec["y"], rec["z"], rec["weight"]) for rec in fit["records"])
+    assert len(atoms) == 2
+    for got, want in zip(atoms, [(0, 0, 1, 0.5), (1, 0, 0, 0.5)]):
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-3
+
+
 def test_field_check_limit_oracle():
     report = run_json(
         "field-check", "--atoms", "0.25:0,0,0.8;0.75:0.3,0,-0.5", "--section", "avg(Z)"

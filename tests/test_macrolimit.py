@@ -27,6 +27,7 @@ from conftest import (
     exact_binom_window_mass,
     haar_qubit,
     kron_chain,
+    nelder_mead_sup,
 )
 from macrofield.linalg import Operator, SiteSpace, commutator, site_sum, spectral_norm
 from macrofield.macrolimit import (
@@ -168,11 +169,29 @@ def test_sup_validations(monkeypatch):
         raise AssertionError("the optimizer ran on a section that is not a qubit's")
 
     # only the Bloch ball has a state chart; d = 3, 4 must fail before any search
-    monkeypatch.setattr(macrolimit, "maximize_over_states", refuse)
+    monkeypatch.setattr(macrolimit, "maximize_on_ball", refuse)
     for d in (3, 4):
         seed = np.diag([1.0, 0.0, -2.0, 0.0][:d]).astype(complex)
         with pytest.raises(OptimizerFailed):
             product_state_sup(SymmetricSection(d, 1, Operator(SiteSpace(d, 1), seed)), 2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_sup_matches_the_nelder_mead_oracle(seed, m, hermitian):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
+    if hermitian:
+        a = (a + a.conj().T) / 2
+    got = product_state_sup(SymmetricSection(2, m, Operator(SiteSpace(2, m), a)), m)
+    want = nelder_mead_sup(lambda rho: abs(np.trace(kron_chain(*[rho] * m) @ a)))
+    assert abs(got - want) <= 1e-9
+
+
+def test_sup_of_an_antisymmetric_seed_is_zero():
+    # x z - z x vanishes on every product state
+    seed = np.kron(SX, SZ) - np.kron(SZ, SX)
+    assert product_state_sup(SymmetricSection(2, 2, Operator(SiteSpace(2, 2), seed)), 2) == 0.0
 
 
 # ---------------------------------------------------------------- norm gap
@@ -210,7 +229,7 @@ def test_norm_gap_checks_n_before_the_optimizer(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the optimizer ran before the n list was checked")
 
-    monkeypatch.setattr(macrolimit, "maximize_over_states", refuse)
+    monkeypatch.setattr(macrolimit, "maximize_on_ball", refuse)
     with pytest.raises(BadOrder):
         norm_gap(sym2_section(SX, SZ), [1, 4])
 
@@ -237,7 +256,7 @@ def test_block_routes_match_dense_oracle(seed, m1, m2, hermitian, data):
     want = spectral_norm(commutator(materialize(s1, n), materialize(s2, n)))
     assert abs(rec.value - want) <= 1e-12 * max(1.0, want)
     # the supremum is not under test here; skip its optimizer
-    with mock.patch.object(macrolimit, "maximize_over_states", lambda f: (0.0, None)):
+    with mock.patch.object(macrolimit, "maximize_on_ball", lambda fn: (np.zeros(3), 0.0)):
         for s in (s1, s2):
             [rec] = norm_gap(s, [n])
             want = spectral_norm(materialize(s, n))
@@ -299,7 +318,7 @@ def test_window_bad_arguments():
         window_projection(P1_SPEC, 2, 0.5, -0.2)
     psi3 = PureState(3, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(BadWindow):
-        window_mass(psi3, P1_SPEC, 2, 0.1)
+        window_mass(psi3, P1_SPEC, [2], 0.1)
     with pytest.raises(BadWindow):
         born_curve(psi3, P1_SPEC, [2])
     with pytest.raises(BadWindow):
@@ -312,13 +331,13 @@ def test_window_bad_arguments():
 def test_mass_matches_binomial_closed_form():
     psi = PureState(2, np.array([math.sqrt(0.7), math.sqrt(0.3)]))
     for n in range(1, 9):
-        rec = window_mass(psi, P1_SPEC, n, 0.15)
+        [rec] = window_mass(psi, P1_SPEC, [n], 0.15)
         assert abs(rec.mass - binom_window_mass(n, 0.3, 0.15)) <= 1e-12
 
 
 def test_mass_pinned_value_n12():
     psi = PureState(2, np.array([1.0, 1.0]) / math.sqrt(2.0))
-    rec = window_mass(psi, P1_SPEC, 12, 0.15)
+    [rec] = window_mass(psi, P1_SPEC, [12], 0.15)
     assert abs(rec.mass - 0.6123046875) <= 1e-12
 
 
@@ -330,16 +349,16 @@ def test_mass_equals_literal_expectation():
     n = 5
     p = float(np.vdot(psi.amplitudes, spec.projector.entries @ psi.amplitudes).real)
     proj = window_projection(spec, n, p, 0.2)
-    rec = window_mass(psi, spec, n, 0.2)
+    [rec] = window_mass(psi, spec, [n], 0.2)
     literal = expect(pure_power(psi, n), proj)
     assert abs(rec.mass - literal) <= 1e-12
 
 
 def test_mass_concentrates_with_n():
     psi = PureState(2, np.array([1.0, 1.0]) / math.sqrt(2.0))
-    small = window_mass(psi, P1_SPEC, 2, 0.15).mass
-    large = window_mass(psi, P1_SPEC, 12, 0.15).mass
-    assert large > small
+    [small] = window_mass(psi, P1_SPEC, [2], 0.15)
+    [large] = window_mass(psi, P1_SPEC, [12], 0.15)
+    assert large.mass > small.mass
 
 
 # ---------------------------------------------------------------- born curve, deviation
@@ -397,7 +416,8 @@ def test_frequency_routes_match_dense_eig_oracle(seed, kind, n, eps):
     oracle = v[:, inside] @ v[:, inside].conj().T
 
     assert np.abs(window_projection(spec, n, p, eps).entries - oracle).max() <= 1e-12
-    assert abs(window_mass(psi, spec, n, eps).mass - weights[inside].sum()) <= 1e-12
+    [rec] = window_mass(psi, spec, [n], eps)
+    assert abs(rec.mass - weights[inside].sum()) <= 1e-12
     [(_, born)] = born_curve(psi, spec, [n])
     assert abs(born - weights @ w) <= 1e-12
     assert abs(deviation_norm(psi, spec, n) - np.sqrt(weights @ (w - p) ** 2)) <= 1e-12
@@ -436,8 +456,27 @@ def test_count_route_matches_the_vector_route(seed, kind, eps, data):
         freq, weights = _vector_route(psi, spec, n)
         inside = (freq >= p - eps - 1e-12) & (freq <= p + eps + 1e-12)
         assert abs(curve[n] - weights @ freq) <= 1e-12
-        assert abs(window_mass(psi, spec, n, eps).mass - weights[inside].sum()) <= 1e-12
+        [rec] = window_mass(psi, spec, [n], eps)
+        assert abs(rec.mass - weights[inside].sum()) <= 1e-12
         assert abs(deviation_norm(psi, spec, n) - np.sqrt(weights @ (freq - p) ** 2)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["qubit", "qutrit-rank1", "qutrit-rank2"]),
+    st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]),
+    st.lists(st.integers(1, 60), min_size=1, max_size=8),
+)
+def test_mass_list_equals_the_per_n_masses(seed, kind, eps, n_list):
+    # one walk of the count law over the list, against a fresh walk per n
+    rng = np.random.default_rng(seed)
+    spec = _random_spec(rng, kind)
+    psi = PureState(spec.d, _unit(rng, spec.d))
+    records = window_mass(psi, spec, n_list, eps)
+    assert [r.n for r in records] == sorted(set(n_list))
+    for rec in records:
+        assert [rec] == window_mass(psi, spec, [rec.n], eps)
 
 
 def test_count_route_reaches_ten_thousand_sites():
@@ -449,4 +488,5 @@ def test_count_route_reaches_ten_thousand_sites():
     assert abs(born - q) <= 1e-12
     assert abs(deviation_norm(psi, P1_SPEC, n) - math.sqrt(q * (1 - q) / n)) <= 1e-12
     want = exact_binom_window_mass(n, Fraction(9, 25), Fraction(1, 100))
-    assert abs(window_mass(psi, P1_SPEC, n, 0.01).mass - want) <= 1e-12
+    [rec] = window_mass(psi, P1_SPEC, [n], 0.01)
+    assert abs(rec.mass - want) <= 1e-12

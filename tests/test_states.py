@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SX, SY, SZ, P1, haar_qubit, rand_hermitian
+from conftest import SX, SY, SZ, P1, haar_qubit, naive_perm_matrix, naive_symmetrize, rand_hermitian
 
 from macrofield.linalg import (
     DimensionOverflow,
@@ -279,6 +281,42 @@ def test_swap_mixture_is_invariant():
     rho[2, 2] = 0.5  # (|01><01| + |10><10|)/2
     st = NSiteState(SiteSpace(2, 2), rho)
     assert is_permutation_invariant(st)
+
+
+def _fixed_by_adjacent_swaps(rho: np.ndarray, n: int) -> bool:
+    for k in range(1, n):
+        perm = list(range(1, n + 1))
+        perm[k - 1], perm[k] = perm[k], perm[k - 1]
+        u = naive_perm_matrix(2, n, tuple(perm))
+        if np.abs(u @ rho @ u.conj().T - rho).max() > 1e-10:
+            return False
+    return True
+
+
+def _average(rho: np.ndarray, perms, n: int) -> np.ndarray:
+    us = [naive_perm_matrix(2, n, p) for p in perms]
+    return sum(u @ rho @ u.conj().T for u in us) / len(us)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from(["raw", "swap", "cycle", "all"]))
+def test_generator_check_matches_every_adjacent_swap(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    rho = b @ b.conj().T
+    rho /= np.trace(rho).real
+    sites = list(range(1, n + 1))
+    if kind == "swap":
+        # fixed by (1 2) only, for n >= 3
+        rho = _average(rho, [tuple(sites), (2, 1, *sites[2:])], n)
+    elif kind == "cycle":
+        # fixed by the n-cycle only, for n >= 3
+        rho = _average(rho, [tuple(sites[k:] + sites[:k]) for k in range(n)], n)
+    elif kind == "all":
+        rho = naive_symmetrize(rho, 2, n)
+    want = _fixed_by_adjacent_swaps(rho, n)
+    assert is_permutation_invariant(NSiteState(SiteSpace(2, n), rho)) == want
+    assert want == (kind == "all" or (n == 2 and kind != "raw"))
 
 
 # ------------------------------------------------------------ trace distance
