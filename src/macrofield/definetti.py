@@ -13,10 +13,10 @@ are Bloch points until the result is built.
 The fit is a conditional-gradient loop: each step adds the product power
 best correlated with the current residual, found by projected gradient
 ascent of that degree-n polynomial in b from 32 starts at once, re-solves
-the weights on the probability simplex, refines all atoms jointly by least
-squares, and merges atoms that collide. Low-weight atoms are retried
-without at the end; among numerically exact fits the one with fewer atoms
-wins.
+the weights on the probability simplex, refines all atoms jointly by
+Gauss-Newton steps on the exact Jacobian of the coordinates, and merges
+atoms that collide. Low-weight atoms are retried without at the end; among
+numerically exact fits the one with fewer atoms wins.
 field_of_states_check verifies that mixture expectations of symmetric
 sections do not move with n.
 """
@@ -287,39 +287,39 @@ def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
     """Joint least-squares refinement of atoms and weights.
 
     Minimizes ||t - sum_i x_i u_i^(x)n|| with u_i = (1, b_i)/sqrt(2) over the
-    weights x and the Bloch points b together: the Frobenius residual that
-    the weight solve minimizes over x alone. Parameters run unconstrained
-    inside the solver. The atoms are projected back to the Bloch ball; the
-    raw weights only start the caller's simplex solve, and the caller
-    recomputes the residual before accepting anything.
+    weights x and the Bloch points b together, unconstrained: the Frobenius
+    residual that the weight solve minimizes over x alone. Each Gauss-Newton
+    step is the least-squares (minimum-norm if underdetermined) solution of
+    the linearized residual, halved until the squared residual falls; the
+    loop ends when no halving helps, when a step gains at most 1e-14 of it,
+    or after 120 steps per atom. The atoms are projected back to the Bloch
+    ball; the raw weights only start the caller's simplex solve, and the
+    caller recomputes the residual before accepting anything.
     """
-    # the CLI's one scipy import, here so that only a fit pays for loading it
-    from scipy.optimize import least_squares
-
     k = len(blochs)
-    x0 = np.concatenate([np.asarray(weights, dtype=float), np.ravel(blochs)])
+    x = np.concatenate([np.asarray(weights, dtype=float), np.ravel(blochs)])
 
     def _fun(x: np.ndarray) -> np.ndarray:
         return x[:k] @ _powers(x[k:].reshape(k, 3), n) - t
 
-    def _jac(x: np.ndarray) -> np.ndarray:
+    r = _fun(x)
+    for _ in range(120 * k):
         b = x[k:].reshape(k, 3)
         grads = x[:k, None, None] * _power_grads(b, n)
-        return np.vstack([_powers(b, n), grads.reshape(3 * k, -1)]).T
-
-    # MINPACK's lm needs at least as many residuals as parameters
-    method = "lm" if t.size >= 4 * k else "trf"
-    res = least_squares(
-        _fun,
-        x0,
-        jac=_jac,
-        method=method,
-        ftol=1e-14,
-        xtol=1e-14,
-        gtol=1e-14,
-        max_nfev=120 * k,
-    )
-    return np.array([project_ball(b) for b in res.x[k:].reshape(k, 3)]), res.x[:k]
+        jac = np.vstack([_powers(b, n), grads.reshape(3 * k, -1)]).T
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        cost = r @ r
+        for _ in range(30):
+            c_r = _fun(x + step)
+            if c_r @ c_r < cost:
+                break
+            step *= 0.5
+        else:
+            break
+        x, r = x + step, c_r
+        if cost - r @ r <= 1e-14 * cost:
+            break
+    return np.array([project_ball(b) for b in x[k:].reshape(k, 3)]), x[:k]
 
 
 def _settle(t: np.ndarray, n: int, blochs: np.ndarray, w0: np.ndarray):

@@ -115,14 +115,14 @@ def commutator_decay(
     return records
 
 
-def fit_decay_exponent(records: list[DecayRecord], points: int = 5) -> float:
+def fit_decay_exponent(records: list[DecayRecord]) -> float:
     """Power-law exponent from least squares on log value vs log n.
 
-    Uses the largest `points` records with a positive value; nan when fewer
+    Uses the five records of largest n with a positive value; nan when fewer
     than two remain (e.g. identical sections, all norms zero).
     """
     usable = [(r.n, r.value) for r in sorted(records, key=lambda r: r.n) if r.value > 1e-300]
-    usable = usable[-points:]
+    usable = usable[-5:]
     if len(usable) < 2:
         return float("nan")
     ns = np.log([n for n, _ in usable])

@@ -50,7 +50,7 @@ DEFAULT_SYMMETRIZE_ORDER = 8
 DEFAULT_SEED_ORDER = 3
 
 
-def symmetrize(a: Operator, max_order: int = DEFAULT_SYMMETRIZE_ORDER) -> Operator:
+def symmetrize(a: Operator) -> Operator:
     """Average a over all n! site permutations.
 
     Each permutation acts as an axis transpose of the 2n-legged tensor, so no
@@ -59,8 +59,8 @@ def symmetrize(a: Operator, max_order: int = DEFAULT_SYMMETRIZE_ORDER) -> Operat
     n = a.space.n
     if n > 20:
         raise OrderTooLarge(f"{n}! does not fit in 64-bit arithmetic")
-    if n > max_order:
-        raise OrderTooLarge(f"direct permutation sum capped at order {max_order}, got {n}")
+    if n > DEFAULT_SYMMETRIZE_ORDER:
+        raise OrderTooLarge(f"permutation sum capped at order {DEFAULT_SYMMETRIZE_ORDER}, got {n}")
     if n == 1:
         return a
     d = a.space.d
@@ -126,7 +126,7 @@ def _extend_placement(seed_sym: np.ndarray, d: int, m: int, n: int) -> np.ndarra
     return acc.reshape(d**n, d**n)
 
 
-def j_nm(n: int, m: int, a_m: Operator, *, max_seed_order: int = DEFAULT_SEED_ORDER) -> Operator:
+def j_nm(n: int, m: int, a_m: Operator) -> Operator:
     """Extend an m-site seed to the permutation-averaged n-site operator.
 
     Equals the n-site symmetrization of a_m padded with identities.  Unital,
@@ -138,8 +138,8 @@ def j_nm(n: int, m: int, a_m: Operator, *, max_seed_order: int = DEFAULT_SEED_OR
         raise SpaceMismatch(f"seed lives on {a_m.space.n} sites, expected {m}")
     if n == m:
         return symmetrize(a_m)
-    if m > max_seed_order:
-        raise OrderTooLarge(f"seed order {m} beyond the configured cap {max_seed_order}")
+    if m > DEFAULT_SEED_ORDER:
+        raise OrderTooLarge(f"seed order {m} beyond the configured cap {DEFAULT_SEED_ORDER}")
     d = a_m.space.d
     space = SiteSpace(d, n)
     if m == 1:

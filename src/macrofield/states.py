@@ -190,15 +190,15 @@ def a_infinity(section: SymmetricSection, rho: DensityMatrix) -> float:
     return expect(product_power(rho, section.m), section.seed)
 
 
-def is_permutation_invariant(state: NSiteState, tol: float = 1e-10) -> bool:
-    """True iff rho is fixed by the swap of sites 1 and 2 and by the cycle
-    of all n sites, which together generate every site permutation."""
+def is_permutation_invariant(state: NSiteState) -> bool:
+    """True iff rho is fixed, to 1e-10, by the swap of sites 1 and 2 and by
+    the cycle of all n sites, which together generate every site permutation."""
     n = state.space.n
     if n == 1:
         return True
     as_op = Operator(state.space, state.rho, copy=False)
     for perm in ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)):
-        if np.abs(permute_sites(as_op, perm).entries - state.rho).max() > tol:
+        if np.abs(permute_sites(as_op, perm).entries - state.rho).max() > 1e-10:
             return False
     return True
 

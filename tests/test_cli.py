@@ -145,8 +145,8 @@ def test_definetti_fit_round_trip():
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-3
 
 
-# norm-gap and commutator-decay through cli.run in a fresh interpreter, the
-# scipy modules loaded after them, then a fit's report and the modules after it
+# norm-gap, commutator-decay and definetti-fit through cli.run in a fresh
+# interpreter, then the fit's report and the scipy modules loaded by all three
 _IMPORT_PATH_SCRIPT = """
 import contextlib, io, json, sys
 import macrofield
@@ -163,13 +163,12 @@ def scipy_modules():
 
 run("norm-gap", "--section", "sym2(X,Z)", "--n", "2..4")
 run("commutator-decay", "--seed1", "X", "--seed2", "Y", "--n", "2..4")
-before = scipy_modules()
 fit = run("definetti-fit", "--atoms", "0.5:0,0,1;0.5:1,0,0", "--sites", "4", "--k-max", "4")
-print(json.dumps({"before": before, "fit": fit, "after": scipy_modules()}))
+print(json.dumps({"fit": fit, "scipy": scipy_modules()}))
 """
 
 
-def test_sweeps_leave_scipy_unloaded_and_the_fit_loads_it():
+def test_sweeps_and_the_fit_leave_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PATH_SCRIPT],
         capture_output=True,
@@ -179,8 +178,7 @@ def test_sweeps_leave_scipy_unloaded_and_the_fit_loads_it():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["before"] == []
-    assert "scipy.optimize" in out["after"]
+    assert out["scipy"] == []
     fit = out["fit"]
     assert fit["summary"]["residual"] <= 1e-6
     atoms = sorted((rec["x"], rec["y"], rec["z"], rec["weight"]) for rec in fit["records"])

@@ -40,6 +40,8 @@ from macrofield.definetti import (
     _correlate,
     _merge_atoms,
     _powers,
+    _refine,
+    _settle,
     field_of_states_check,
     fit_mixture,
     mixture_state,
@@ -425,6 +427,37 @@ def test_fit_recovers_seeded_three_atom_mixtures():
         weights = rng.dirichlet((3.0, 3.0, 3.0))
         mix = bloch_mixture(zip(weights, blochs))
         assert_recovered(mix, fit_mixture(mixture_state(mix, 6), 6))
+
+
+def spread_blochs(rng: np.random.Generator, k: int) -> np.ndarray:
+    # radii in [0.3, 0.9]; a draw closer than 0.6 to an earlier atom is redrawn
+    out: list[np.ndarray] = []
+    while len(out) < k:
+        b = unit_bloch(rng) * rng.uniform(0.3, 0.9)
+        if all(np.linalg.norm(b - a) >= 0.6 for a in out):
+            out.append(b)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    # fewer coordinates, C(n+3, 3), than the 4k parameters ...
+    [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 6), (3, 7), (3, 8)]
+    # ... and more, as a control
+    + [(4, 2), (6, 3)],
+)
+def test_refinement_converges_near_exact_mixtures(n, k):
+    # one Gauss-Newton path serves every count of residuals and parameters;
+    # the minimum-norm step reaches an exact fit from nearby starts either way
+    rng = np.random.default_rng(1000 * n + k)
+    for _ in range(20):
+        blochs = spread_blochs(rng, k)
+        weights = rng.dirichlet(np.full(k, 3.0))
+        t = weights @ _powers(blochs, n)
+        start = blochs + 0.02 * rng.standard_normal(blochs.shape)
+        r_blochs, r_w = _refine(t, n, start, weights + 0.02 * rng.standard_normal(k))
+        _, r = _settle(t, n, r_blochs, r_w)
+        assert np.linalg.norm(r) <= 1e-10
 
 
 def test_fit_rejects_bad_inputs():

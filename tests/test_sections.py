@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import SX, SZ, I2, P1, kron_chain, naive_embed, naive_symmetrize, rand_hermitian
 
+from macrofield import sections
 from macrofield.linalg import (
     Operator,
     SiteSpace,
@@ -89,13 +90,15 @@ def test_symmetrize_matches_naive_oracle():
         assert np.allclose(got, naive_symmetrize(a, 2, n), atol=1e-13)
 
 
-def test_symmetrize_order_cap():
+def test_symmetrize_order_cap(monkeypatch):
     with pytest.raises(OrderTooLarge):
         symmetrize(identity(SiteSpace(2, 9)))
-    # the cap is configurable in both directions
+    # the cap is read at call time, in both directions
+    monkeypatch.setattr(sections, "DEFAULT_SYMMETRIZE_ORDER", 2)
     with pytest.raises(OrderTooLarge):
-        symmetrize(identity(SiteSpace(2, 3)), max_order=2)
-    out = symmetrize(identity(SiteSpace(2, 5)), max_order=5)
+        symmetrize(identity(SiteSpace(2, 3)))
+    monkeypatch.setattr(sections, "DEFAULT_SYMMETRIZE_ORDER", 5)
+    out = symmetrize(identity(SiteSpace(2, 5)))
     assert np.allclose(out.entries, np.eye(32), atol=0)
 
 
@@ -203,11 +206,12 @@ def test_jnm_bad_order():
         j_nm(0, 0, op(I2))
 
 
-def test_jnm_seed_order_cap():
+def test_jnm_seed_order_cap(monkeypatch):
     seed = identity(SiteSpace(2, 4))
     with pytest.raises(OrderTooLarge):
         j_nm(6, 4, seed)
-    out = j_nm(5, 4, seed, max_seed_order=4)
+    monkeypatch.setattr(sections, "DEFAULT_SEED_ORDER", 4)
+    out = j_nm(5, 4, seed)
     assert np.abs(out.entries - np.eye(32)).max() <= 10 * TOL_EIG
 
 
