@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from ._optim import OptimizerFailed
-from .definetti import DiscreteMixture, field_of_states_check, fit_mixture, mixture_state
+from .definetti import DiscreteMixture, field_of_states_check, recover_mixture
 from .linalg import PAULI, EigFailed, MacrofieldError, Operator, SiteSpace
 from .macrolimit import born_curve, commutator_decay, fit_decay_exponent, norm_gap, window_mass
 from .sections import FrequencySpec, SymmetricSection, frequency_section
@@ -299,8 +299,8 @@ def _cmd_boolean_check(args):
 
 def _cmd_definetti_fit(args):
     mix, canon = _parse_atoms(args.atoms)
-    target = mixture_state(mix, args.sites)
-    result = fit_mixture(target, args.k_max)
+    SiteSpace(2, args.sites)  # the dense cap of the site lists, before any work
+    result = recover_mixture(mix, args.sites, args.k_max)
     records = []
     for idx, (w, rho) in enumerate(result.mixture.atoms):
         b = density_to_bloch(rho)

@@ -1,24 +1,25 @@
 """Finite-atom decompositions of permutation-invariant qubit states.
 
-fit_mixture works in one representation of permutation-invariant
-operators. In the orthonormal Pauli product basis, sigma_a/sqrt(2) on each
-site, such an operator gives the same coefficient to every string with the
-same counts beta of I, X, Y and Z. It is stored once per count vector, times
+The fit works in one representation of permutation-invariant operators.
+In the orthonormal Pauli product basis, sigma_a/sqrt(2) on each site, such
+an operator gives the same coefficient to every string with the same counts
+beta of I, X, Y and Z. It is stored once per count vector, times
 sqrt(n!/beta!), the root of the number of such strings: C(n+3, 3)
-coordinates, whose dot product is the Frobenius inner product. The target
-is converted once; the product power of the qubit state at Bloch point b
-has coordinates sqrt(n!/beta!) u^beta with u = (1, b)/sqrt(2), and atoms
+coordinates, whose dot product is the Frobenius inner product. A dense
+target is converted once (fit_mixture), a known mixture's state is formed
+there (recover_mixture); the product power of the qubit state at Bloch point
+b has coordinates sqrt(n!/beta!) u^beta with u = (1, b)/sqrt(2), and atoms
 are Bloch points until the result is built.
 
 The fit is a conditional-gradient loop: each step adds the product power
 best correlated with the current residual, found by projected gradient
 ascent of that degree-n polynomial in b from 32 starts at once, re-solves
 the weights on the probability simplex, refines all atoms jointly by
-Gauss-Newton steps on the exact Jacobian of the coordinates, and merges
-atoms that collide. Low-weight atoms are retried without at the end; among
-numerically exact fits the one with fewer atoms wins.
+projected Gauss-Newton steps on the exact Jacobian of the coordinates, and
+merges atoms that collide. Low-weight atoms are retried without at the end;
+among numerically exact fits the one with fewer atoms wins.
 field_of_states_check verifies that mixture expectations of symmetric
-sections do not move with n.
+sections do not move with n, on total-spin blocks where there are some.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ._optim import maximize_on_ball, project_ball
-from .linalg import MacrofieldError, SiteSpace, SpaceMismatch, kron_power
-from .sections import BadOrder, SymmetricSection
+from .linalg import MacrofieldError, Operator, SiteSpace, SpaceMismatch, kron_power
+from .sections import BadOrder, SymmetricSection, spin_blocks
 from .states import (
     DensityMatrix,
     NSiteState,
+    _bloch_coords,
     _bloch_entries,
     a_infinity,
     expect,
@@ -51,6 +53,7 @@ __all__ = [
     "FitResult",
     "mixture_state",
     "fit_mixture",
+    "recover_mixture",
     "field_of_states_check",
 ]
 
@@ -154,7 +157,7 @@ def _classes(n: int) -> _Classes:
     rows = list(combinations_with_replacement(range(4), n))
     labels = np.array(rows, dtype=np.intp).reshape(len(rows), n)
     beta = np.stack([(labels == a).sum(axis=1) for a in range(4)], axis=1)
-    mult = np.sqrt([math.factorial(n) // math.prod(map(math.factorial, b)) for b in beta])
+    mult = np.sqrt([float(math.factorial(n) // math.prod(map(math.factorial, b))) for b in beta])
     down = np.zeros((len(rows), 4), dtype=np.intp)
     if n:
         lower = {row: i for i, row in enumerate(combinations_with_replacement(range(4), n - 1))}
@@ -290,11 +293,11 @@ def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
     weights x and the Bloch points b together, unconstrained: the Frobenius
     residual that the weight solve minimizes over x alone. Each Gauss-Newton
     step is the least-squares (minimum-norm if underdetermined) solution of
-    the linearized residual, halved until the squared residual falls; the
-    loop ends when no halving helps, when a step gains at most 1e-14 of it,
-    or after 120 steps per atom. The atoms are projected back to the Bloch
-    ball; the raw weights only start the caller's simplex solve, and the
-    caller recomputes the residual before accepting anything.
+    the linearized residual, halved until the squared residual falls at its
+    Bloch points projected to the ball (projected Gauss-Newton); the loop
+    ends when no halving helps, when a step gains at most 1e-14 of it, or
+    after 120 steps per atom. The raw weights only start the caller's simplex
+    solve, and the caller recomputes the residual before accepting anything.
     """
     k = len(blochs)
     x = np.concatenate([np.asarray(weights, dtype=float), np.ravel(blochs)])
@@ -310,16 +313,18 @@ def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
         step = np.linalg.lstsq(jac, -r, rcond=None)[0]
         cost = r @ r
         for _ in range(30):
-            c_r = _fun(x + step)
+            trial = x + step
+            trial[k:] = np.ravel([project_ball(b) for b in trial[k:].reshape(k, 3)])
+            c_r = _fun(trial)
             if c_r @ c_r < cost:
                 break
             step *= 0.5
         else:
             break
-        x, r = x + step, c_r
+        x, r = trial, c_r
         if cost - r @ r <= 1e-14 * cost:
             break
-    return np.array([project_ball(b) for b in x[k:].reshape(k, 3)]), x[:k]
+    return x[k:].reshape(k, 3), x[:k]
 
 
 def _settle(t: np.ndarray, n: int, blochs: np.ndarray, w0: np.ndarray):
@@ -366,9 +371,23 @@ def fit_mixture(target: NSiteState, k_max: int) -> FitResult:
         raise ValueError(f"atom budget must be >= 1, got {k_max}")
     if not is_permutation_invariant(target):
         raise NotSymmetric("target state is not permutation-invariant")
-
     n = target.space.n
-    t = _coords(np.asarray(target.rho), n)
+    return _fit(_coords(np.asarray(target.rho), n), n, k_max)
+
+
+def recover_mixture(mix: DiscreteMixture, n: int, k_max: int) -> FitResult:
+    """fit_mixture(mixture_state(mix, n), k_max) for qubit atoms, with the
+    state formed in chart coordinates, sum_i w_i _powers(b_i, n), not densely."""
+    if mix.d != 2 or n < 1:
+        raise SpaceMismatch(f"fit needs qubit sites and n >= 1, got d={mix.d}, n={n}")
+    if k_max < 1:
+        raise ValueError(f"atom budget must be >= 1, got {k_max}")
+    blochs = np.array([_bloch_coords(rho.entries) for _, rho in mix.atoms])
+    return _fit(np.array([w for w, _ in mix.atoms]) @ _powers(blochs, n), n, k_max)
+
+
+def _fit(t: np.ndarray, n: int, k_max: int) -> FitResult:
+    """The fit of fit_mixture on the chart coordinates t of an n-site target."""
     atoms = np.zeros((0, 3))
     weights = np.zeros(0)
     r = t
@@ -429,12 +448,35 @@ def fit_mixture(target: NSiteState, k_max: int) -> FitResult:
     return FitResult(DiscreteMixture(pairs), final, iterations, budget_exhausted, tuple(history))
 
 
+def _block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> float | None:
+    """tr(A_n sum_i w_i rho_i^(x)n) from the spin_blocks of the seed turned
+    into each rho's eigenbasis, or None where there are none: there rho^(x)n
+    is diagonal, l0^(n/2+m) l1^(n/2-m) at J_z = m on each of the
+    C(n, k) - C(n, k - 1) copies of the irrep J = n/2 - k, with 0^0 = 1."""
+    total = 0.0
+    for w, rho in mix.atoms:
+        lam, u = np.linalg.eigh(rho.entries)
+        lam, uu = np.maximum(lam, 0.0), kron_power(u, section.m)
+        seed = Operator(section.seed.space, uu.conj().T @ section.seed.entries @ uu)
+        blocks = spin_blocks(SymmetricSection(section.d, section.m, seed), n)
+        if blocks is None:
+            return None
+        for k, block in enumerate(blocks):
+            # weights in log space: e factors l0 >= 0, n - e factors l1 >= 1/2
+            e = n - k - np.arange(len(block))
+            with np.errstate(divide="ignore"):
+                log_w = e * np.log(np.where(e > 0, lam[0], 1.0)) + (n - e) * np.log(lam[1])
+            mult = math.comb(n, k) * (n - 2 * k + 1) // (n - k + 1)
+            total += w * float(np.exp(log_w + math.log(mult)) @ block.diagonal().real)
+    return total
+
+
 def field_of_states_check(
     mix: DiscreteMixture, section: SymmetricSection, n_list
 ) -> list[tuple[int, float, float]]:
-    """Per n: (n, mixture expectation of the materialized section, the
-    n-independent mixture average of the limit values). The two agree to
-    1e-9 for every n at or above the seed order."""
+    """Per n: (n, mixture expectation of the section, on total-spin blocks
+    where spin_blocks has them and densely otherwise, the n-independent mixture
+    average of the limit values). They agree to 1e-9 for n >= the seed order."""
     if not isinstance(section, SymmetricSection):
         raise BadOrder("field check needs a symmetric section")
     if mix.d != section.d:
@@ -444,6 +486,8 @@ def field_of_states_check(
     for n in sorted(set(int(n) for n in n_list)):
         if n < section.m:
             raise BadOrder(f"n={n} below the seed order {section.m}")
-        lhs = expect(mixture_state(mix, n), section.materialize(n))
+        lhs = _block_expect(mix, section, n)
+        if lhs is None:
+            lhs = expect(mixture_state(mix, n), section.materialize(n))
         out.append((n, lhs, rhs))
     return out

@@ -3,10 +3,10 @@
 Everything is stored as a dense complex128 matrix tagged with its site
 structure (d, n).  Site 1 is the leftmost, slowest-varying Kronecker factor;
 all public site indices are 1-based.  At d = 2 the hard ceiling is 14 sites
-(dim 16384).  The command-line sweeps of commutators and norms do not come
-through here for qubit sections of order <= 2: `sections.spin_blocks` gives
-those on total-spin blocks, and the dense route is their fallback and test
-oracle.
+(dim 16384), the command line's cap on every site count.  No command-line
+route builds its n-site objects here: qubit sections of order <= 2 go to
+total-spin blocks (`sections.spin_blocks`), the mixture fit to label-multiset
+coordinates (`definetti`), and the dense route is their fallback and oracle.
 
 Norms and products delegate to LAPACK and BLAS through numpy, with exact
 dispatch fast paths (exactly-real input, and diagonal input for norms) that

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import binom_window_mass, src_env
 
 import macrofield.cli as cli
+from macrofield import definetti, sections
 from macrofield._optim import OptimizerFailed
 from macrofield.definetti import MERGE_DELTA
 from macrofield.linalg import EigFailed
@@ -187,6 +188,70 @@ def test_sweeps_and_the_fit_leave_scipy_unloaded():
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-3
 
 
+# the fit and the field check at n = 12 in a fresh interpreter, then its peak
+# RSS; at 2^12 x 2^12 a single dense complex matrix is 268 MB. ru_maxrss
+# survives exec, so an interpreter started from the test process would report
+# that process's peak; the work runs in a child forked from this small one
+_FOOTPRINT_SCRIPT = """
+import os, sys
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+import contextlib, io, json, resource
+from macrofield import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run([*argv, "--no-timestamp"]) == 0
+    return json.loads(out.getvalue())["summary"]
+
+fit = run("definetti-fit", "--atoms", "0.5:0,0,1;0.5:1,0,0", "--sites", "12")
+field = run("field-check", "--atoms", "0.5:0,0,1;0.5:1,0,0", "--section", "sym2(X,Z)",
+            "--n", "2..12")
+rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"fit": fit, "field": field, "rss_mb": rss_kb / 1024}))
+"""
+
+
+def test_fit_and_field_check_stay_small_at_twelve_sites():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["fit"]["residual"] <= 1e-10
+    assert out["field"]["max_abs_error"] <= 1e-9
+    assert out["rss_mb"] < 200
+
+
+def test_fit_and_field_check_build_no_dense_state(monkeypatch, capsys):
+    # mixture_state and j_nm build every n-site state and section, so with
+    # both failing a dense route stops at once instead of allocating 4.3 GB
+    # per matrix at n = 14; the CLI's own name for mixture_state is covered
+    # too, should it import one
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a CLI route built an n-site matrix")
+
+    monkeypatch.setattr(definetti, "mixture_state", must_not_run)
+    monkeypatch.setattr(cli, "mixture_state", must_not_run, raising=False)
+    monkeypatch.setattr(sections, "j_nm", must_not_run)
+    atoms = "0.5:0,0,1;0.5:1,0,0"
+    assert cli.run(["definetti-fit", "--atoms", atoms, "--sites", "14", "--no-timestamp"]) == 0
+    fit = json.loads(capsys.readouterr().out)
+    assert fit["summary"]["residual"] <= 1e-10
+    argv = ["field-check", "--atoms", atoms, "--section", "sym2(X,Z)", "--n", "13,14"]
+    assert cli.run([*argv, "--no-timestamp"]) == 0
+    field = json.loads(capsys.readouterr().out)
+    assert [r["n"] for r in field["records"]] == [13, 14]
+    assert field["summary"]["max_abs_error"] <= 1e-9
+
+
 def test_field_check_limit_oracle():
     report = run_json(
         "field-check", "--atoms", "0.25:0,0,0.8;0.75:0.3,0,-0.5", "--section", "avg(Z)"
@@ -252,6 +317,9 @@ def test_timestamp_appears_by_default():
         ("born-converge", "--psi", "0.8,0.6", "--lambda", "7", "--n", "1..2"),
         ("definetti-fit", "--atoms", "0.9:0,0,1;0.2:1,0,0"),
         ("definetti-fit", "--atoms", "1.0:0,0,2"),
+        # the fit runs on the chart, but its site count keeps the dense cap
+        ("definetti-fit", "--atoms", "1.0:0,0,1", "--sites", "0"),
+        ("definetti-fit", "--atoms", "1.0:0,0,1", "--sites", "15"),
         ("slln-mc", "--p", "1.5", "--horizon", "10", "--trials", "5", "--delta", "0.1"),
         ("slln-mc", "--p", "0.3", "--horizon", "10", "--trials", "5",
          "--delta", "0.1", "--rng-seed", "-1"),
@@ -418,8 +486,7 @@ def _refused_before_any_fit(text: str) -> None:
     with pytest.raises((cli.MacrofieldError, ValueError)):
         cli._parse_atoms(text)
     with (
-        mock.patch.object(cli, "mixture_state", must_not_run),
-        mock.patch.object(cli, "fit_mixture", must_not_run),
+        mock.patch.object(cli, "recover_mixture", must_not_run),
         mock.patch.object(cli, "field_of_states_check", must_not_run),
     ):
         assert cli.run(["definetti-fit", "--atoms", text, "--sites", "2"]) == 2

@@ -11,10 +11,11 @@ product powers.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -30,12 +31,14 @@ from conftest import (
     rand_hermitian,
 )
 from macrofield import definetti
+from macrofield.cli import _LETTERS, _parse_section
 from macrofield.definetti import (
     MERGE_DELTA,
     DiscreteMixture,
     FitResult,
     NotSymmetric,
     _best_vertex,
+    _block_expect,
     _coords,
     _correlate,
     _merge_atoms,
@@ -45,6 +48,7 @@ from macrofield.definetti import (
     field_of_states_check,
     fit_mixture,
     mixture_state,
+    recover_mixture,
 )
 from macrofield.linalg import Operator, SiteSpace, SpaceMismatch, kron_power
 from macrofield.sections import BadOrder, PerturbedSection, SymmetricSection
@@ -208,6 +212,17 @@ def test_chart_has_one_coordinate_per_label_multiset():
         if n <= 5:
             a = naive_symmetrize(rand_hermitian(rng, 2**n), 2, n)
             assert _coords(a, n).size == size
+
+
+@pytest.mark.parametrize("n", [36, 40])
+def test_chart_norm_matches_the_closed_form_past_35_sites(n):
+    # from n = 36 on, n!/beta! passes 2**64; the Frobenius norm of rho(b)^(x)n
+    # is tr(rho^2)^(n/2), with tr(rho^2) = (1 + |b|^2)/2
+    rng = np.random.default_rng(n)
+    blochs = np.array([ball_point(rng, pure) for pure in (True, False, False)])
+    got = (_powers(blochs, n) ** 2).sum(axis=1)
+    want = ((1.0 + (blochs**2).sum(axis=1)) / 2.0) ** n
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -460,6 +475,22 @@ def test_refinement_converges_near_exact_mixtures(n, k):
         assert np.linalg.norm(r) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ((0.5, (0, 0, 1)), (0.5, (1, 0, 0))),
+        ((0.3, (0, 0, 1)), (0.7, (0, 1, 0))),
+        ((0.4, (0, 0, 1)), (0.3, (0, 0, -1)), (0.3, (1, 0, 0))),
+    ],
+)
+def test_fit_converges_at_two_sites(spec):
+    # Gauss-Newton steps that left the ball stalled these fits with the budget
+    # spent; at n = 2 the atoms are not unique, so only the fit is checked
+    res = recover_mixture(bloch_mixture(spec), 2, 6)
+    assert res.residual <= 1e-10
+    assert not res.budget_exhausted
+
+
 def test_fit_rejects_bad_inputs():
     qutrit = DensityMatrix(3, np.eye(3) / 3.0)
     with pytest.raises(SpaceMismatch):
@@ -533,6 +564,61 @@ def test_field_check_order_two_section():
     # the shared limit value agrees with the per-atom pullback
     want = sum(w * a_infinity(sec, rho) for w, rho in mix.atoms)
     assert abs(rhs0 - want) < 1e-12
+
+
+# every descriptor of the command-line grammar
+_DESCRIPTORS = (
+    [f"avg({a})" for a in _LETTERS]
+    + [f"sym2({a},{b})" for i, a in enumerate(_LETTERS) for b in _LETTERS[i:]]
+    + ["freq(0)", "freq(1)"]
+)
+
+_ATOM = st.tuples(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    st.floats(0.05, 1.0),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_ATOM, min_size=1, max_size=3), st.integers(2, 8))
+def test_block_and_chart_routes_match_the_dense_oracle(atoms, n):
+    # the field check's block expectation and the fit's chart target against
+    # the dense mixture state, for pure and mixed atoms
+    total = sum(w for _, _, w in atoms)
+    spec = [(w / total, np.asarray(v) / np.linalg.norm(v) * r) for v, r, w in atoms]
+    # trace distance, half the Bloch distance, clear of the merge threshold
+    gaps = [0.5 * np.linalg.norm(a - b) for i, (_, a) in enumerate(spec) for _, b in spec[:i]]
+    assume(min(gaps, default=1.0) >= 2 * MERGE_DELTA)
+    mix = bloch_mixture(spec)
+    state = mixture_state(mix, n)
+    for text in _DESCRIPTORS:
+        section, _ = _parse_section(text)
+        want = expect(state, section.materialize(n))
+        assert abs(_block_expect(mix, section, n) - want) <= 1e-12
+    # the target that recover_mixture hands the fit
+    with mock.patch.object(definetti, "_fit", lambda t, n, k_max: t):
+        chart = recover_mixture(mix, n, 1)
+    np.testing.assert_allclose(chart, _coords(state.rho, n), rtol=0, atol=1e-13)
+
+
+def test_field_check_without_blocks_stays_dense():
+    # qutrit sites and order-3 seeds have no spin_blocks; their line is the
+    # dense expectation, and the limit still holds
+    rng = np.random.default_rng(11)
+    h = rand_hermitian(rng, 3)
+    qutrits = DiscreteMixture(((0.5, DensityMatrix(3, np.eye(3) / 3.0)),
+                               (0.5, DensityMatrix(3, np.diag([1.0, 0.0, 0.0])))))
+    three = SymmetricSection(2, 3, Operator(SiteSpace(2, 3), kron_chain(SX, SZ, SX)))
+    qubits = DiscreteMixture(((0.4, ZERO), (0.6, PLUS)))
+    for mix, section, ns in (
+        (qutrits, SymmetricSection(3, 1, Operator(SiteSpace(3, 1), h)), [1, 2, 4]),
+        (qubits, three, [3, 5, 7]),
+    ):
+        for n, lhs, rhs in field_of_states_check(mix, section, ns):
+            assert _block_expect(mix, section, n) is None
+            assert abs(lhs - expect(mixture_state(mix, n), section.materialize(n))) <= 1e-12
+            assert abs(lhs - rhs) <= 1e-9
 
 
 def test_field_check_rejects_bad_inputs():
