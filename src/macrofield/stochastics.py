@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MacrofieldError, Operator, SiteSpace, SpaceMismatch, kron_power
+from .linalg import (
+    DimensionOverflow, MacrofieldError, Operator, SiteSpace, SpaceMismatch, kron_power
+)
 from .states import PureState
 
 __all__ = [
     "MAX_CONSTRAINTS",
     "MAX_ENUM_SITES",
+    "MAX_TRIALS",
     "SiteBeyondHorizon",
     "TooManySites",
     "BernoulliSpec",
@@ -47,6 +50,8 @@ __all__ = [
 # cap on constraints per event and on the enumeration footprint (2^16 atoms)
 MAX_CONSTRAINTS = 16
 MAX_ENUM_SITES = 16
+# cap on strong-law trials: 10**7 of them take about 1 s and 240 MB
+MAX_TRIALS = 10**7
 
 
 class SiteBeyondHorizon(MacrofieldError):
@@ -202,12 +207,25 @@ def sample_sequences(spec: BernoulliSpec, n: int, trials: int, seed: int) -> np.
 
 
 def slln_check(spec: BernoulliSpec, n: int, trials: int, delta: float, seed: int) -> SllnReport:
-    """Fraction of trials whose sample mean lands within delta of p."""
+    """Fraction of trials whose sample mean lands within delta of p.
+
+    Each trial's count K of ones among n i.i.d. Bernoulli(p) bits is drawn
+    directly from its Binomial(n, p) law, and its sample mean is K / n. This
+    is exact in law, p = 0 and p = 1 stay exact, and a trial costs one
+    variate, not n bits. The horizon must fit in int64, the sampler's range.
+    """
+    if not math.isfinite(delta):
+        raise ValueError(f"tolerance must be finite, got {delta}")
     if delta <= 0.0:
         raise ValueError(f"tolerance must be positive, got {delta}")
-    bits = sample_sequences(spec, n, trials, seed)
-    means = bits.mean(axis=1)
-    hits = int(np.count_nonzero(np.abs(means - spec.p) <= delta))
+    if n < 1 or trials < 1:
+        raise ValueError(f"need n >= 1 and trials >= 1, got n={n}, trials={trials}")
+    if n > np.iinfo(np.int64).max:
+        raise ValueError(f"horizon {n} exceeds the int64 range of the binomial sampler")
+    if trials > MAX_TRIALS:
+        raise DimensionOverflow(f"{trials} trials exceed the cap {MAX_TRIALS}")
+    counts = np.random.Generator(np.random.Philox(seed)).binomial(n, spec.p, size=trials)
+    hits = int(np.count_nonzero(np.abs(counts / n - spec.p) <= delta))
     return SllnReport(spec.p, n, trials, delta, hits / trials, hoeffding_bound(n, delta))
 
 

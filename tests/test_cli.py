@@ -323,6 +323,10 @@ def test_timestamp_appears_by_default():
         ("slln-mc", "--p", "1.5", "--horizon", "10", "--trials", "5", "--delta", "0.1"),
         ("slln-mc", "--p", "0.3", "--horizon", "10", "--trials", "5",
          "--delta", "0.1", "--rng-seed", "-1"),
+        ("slln-mc", "--p", "0.3", "--horizon", "10", "--trials", "5", "--delta", "nan"),
+        # a horizon beyond the int64 range of the binomial sampler, trials over the cap
+        ("slln-mc", "--p", "0.3", "--horizon", str(2**63), "--trials", "5", "--delta", "0.1"),
+        ("slln-mc", "--p", "0.3", "--horizon", "10", "--trials", "10000001", "--delta", "0.1"),
         ("window-mass", "--psi", "0.8,0.6", "--epsilon", "-0.1", "--n", "1..3"),
         ("field-check", "--atoms", "1.0:0,0,1", "--section", "sym2(X,Z)", "--n", "1..4"),
         # the identity is in the shared Pauli table but not in the grammar

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 import macrofield.stochastics as stochastics
 from conftest import haar_qubit
-from macrofield.linalg import PROJ_0, PROJ_1, SpaceMismatch, embed_at_site, spectral_norm
+from macrofield.linalg import (
+    PROJ_0,
+    PROJ_1,
+    DimensionOverflow,
+    SpaceMismatch,
+    embed_at_site,
+    spectral_norm,
+)
 from macrofield.states import PureState, power_vector
 from macrofield.stochastics import (
     And,
@@ -95,8 +102,39 @@ def test_slln_hit_fraction_high():
 def test_slln_trivial_cases():
     assert slln_check(BernoulliSpec(0.3), 50, 200, 1.0, seed=2).hit_fraction == 1.0
     assert slln_check(BernoulliSpec(0.0), 50, 200, 0.01, seed=2).hit_fraction == 1.0
+    assert slln_check(BernoulliSpec(1.0), 50, 200, 0.01, seed=2).hit_fraction == 1.0
+    for delta in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            slln_check(BernoulliSpec(0.3), 50, 200, delta, seed=2)
+    # both guards fire before any draw
     with pytest.raises(ValueError):
-        slln_check(BernoulliSpec(0.3), 50, 200, 0.0, seed=2)
+        slln_check(BernoulliSpec(0.3), 2**63, 200, 0.1, seed=2)
+    with pytest.raises(DimensionOverflow):
+        slln_check(BernoulliSpec(0.3), 50, stochastics.MAX_TRIALS + 1, 0.1, seed=2)
+
+
+def test_slln_count_route_matches_exact_mass_and_bit_route():
+    # the count route and the bit-matrix route both estimate the Binomial(100, 0.3)
+    # mass of |k/n - p| <= 0.05; 5 sigma of a 20,000-trial fraction is 0.015
+    n, p, delta, trials = 100, 0.3, 0.05, 20_000
+    exact = sum(
+        math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        for k in range(n + 1)
+        if abs(k / n - p) <= delta
+    )
+    assert abs(exact - 0.7704) <= 1e-4
+    by_counts = slln_check(BernoulliSpec(p), n, trials, delta, seed=3).hit_fraction
+    sums = sample_sequences(BernoulliSpec(p), n, trials, seed=3).sum(axis=1)
+    by_bits = np.count_nonzero(np.abs(sums / n - p) <= delta) / trials
+    assert abs(by_counts - exact) <= 0.015
+    assert abs(by_bits - exact) <= 0.015
+
+
+def test_slln_reproducible_in_seed():
+    args = (BernoulliSpec(0.3), 100, 20_000, 0.05)
+    first = slln_check(*args, seed=3)
+    assert slln_check(*args, seed=3) == first
+    assert slln_check(*args, seed=4).hit_fraction != first.hit_fraction
 
 
 def test_report_invariants():
