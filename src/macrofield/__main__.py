@@ -1,4 +1,19 @@
-from .cli import main
+import os
+
+
+def main() -> None:
+    """Entry point of `macrofield` and `python -m macrofield`.
+
+    No command makes a BLAS call large enough to gain from OpenBLAS's thread
+    pool, so BLAS runs on one thread unless the caller set
+    OPENBLAS_NUM_THREADS. The variable is read when numpy loads, which is why
+    the CLI is imported only after it is set.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .cli import main as cli_main
+
+    cli_main()
+
 
 if __name__ == "__main__":
     main()

@@ -205,8 +205,8 @@ def _window_mask(freq: np.ndarray, p: float, epsilon: float) -> np.ndarray:
     """Frequencies in [p - eps, p + eps], edges widened by 1e-12."""
     if not 0.0 <= p <= 1.0:
         raise BadWindow(f"target mean {p} outside [0, 1]")
-    if epsilon <= 0.0:
-        raise BadWindow(f"window half-width must be positive, got {epsilon}")
+    if not 0.0 < epsilon < np.inf:
+        raise BadWindow(f"window half-width must be positive and finite, got {epsilon}")
     return (freq >= p - epsilon - 1e-12) & (freq <= p + epsilon + 1e-12)
 
 

@@ -87,7 +87,8 @@ class PureState:
         if v.shape != (self.d,):
             raise SpaceMismatch(f"amplitude shape {v.shape} does not match d={self.d}")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-12:
+        # a non-finite amplitude makes the norm NaN or inf, and NaN fails every comparison
+        if not abs(norm - 1.0) <= 1e-12:
             raise InvalidState(f"amplitude norm {norm!r} != 1")
         v = v.copy()
         v.flags.writeable = False

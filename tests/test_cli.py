@@ -188,6 +188,61 @@ def test_sweeps_and_the_fit_leave_scipy_unloaded():
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-3
 
 
+# the package import, then the CLI entry point on --version, in a fresh
+# interpreter: whether numpy was loaded by the import, the BLAS thread setting
+# and thread count the entry point leaves, and any public name that does not
+# resolve to its defining submodule's object
+_STARTUP_SCRIPT = """
+import contextlib, importlib, inspect, io, json, os, sys
+import macrofield
+numpy_on_import = "numpy" in sys.modules
+
+from macrofield.__main__ import main
+sys.argv = ["macrofield", "--version"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main()
+threads = len(os.listdir("/proc/self/task"))
+
+wrong = []
+for name in macrofield.__all__[1:]:
+    obj = getattr(macrofield, name)
+    home = "macrofield." + macrofield._HOME[name]
+    if obj is not getattr(importlib.import_module(home), name):
+        wrong.append(name)
+    elif (inspect.isclass(obj) or inspect.isfunction(obj)) and obj.__module__ != home:
+        wrong.append(name)
+print(json.dumps({
+    "numpy_on_import": numpy_on_import,
+    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": threads,
+    "wrong": wrong,
+    "dir_is_all": sorted(dir(macrofield)) == sorted(macrofield.__all__),
+}))
+"""
+
+
+def test_cli_entry_point_starts_serial_blas_behind_a_lazy_namespace():
+    def start(**blas):
+        env = src_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        env.update(blas)
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT],
+            capture_output=True, text=True, timeout=600, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    out = start()
+    assert out["numpy_on_import"] is False
+    assert out["wrong"] == []
+    assert out["dir_is_all"] is True
+    assert out["blas_threads"] == "1"
+    assert out["threads"] == 1
+    # the caller's value wins
+    assert start(OPENBLAS_NUM_THREADS="2")["blas_threads"] == "2"
+
+
 # the fit and the field check at n = 12 in a fresh interpreter, then its peak
 # RSS; at 2^12 x 2^12 a single dense complex matrix is 268 MB. ru_maxrss
 # survives exec, so an interpreter started from the test process would report
@@ -336,6 +391,14 @@ def test_timestamp_appears_by_default():
         ("definetti-fit", "--atoms", "nan:0,0,1"),
         ("definetti-fit", "--atoms", "1:nan,0,0"),
         ("field-check", "--atoms", "nan:0,0,1", "--section", "avg(Z)", "--n", "1..3"),
+        # non-finite amplitudes and window; a tolerance must be finite and >= 0
+        ("born-converge", "--psi", "nan,1", "--n", "1..2"),
+        ("born-converge", "--psi", "inf,1", "--n", "1..2"),
+        ("window-mass", "--psi", "0.8,0.6", "--epsilon", "nan", "--n", "1..3"),
+        ("born-converge", "--psi", "0.8,0.6", "--n", "1..2", "--tol", "nan"),
+        ("boolean-check", "--instances", "2", "--tol", "-1"),
+        ("field-check", "--atoms", "1.0:0,0,1", "--section", "avg(Z)", "--n", "1..3",
+         "--tol", "inf"),
     ],
 )
 def test_bad_input_exits_2(argv):

@@ -316,6 +316,13 @@ def test_window_bad_arguments():
         window_projection(P1_SPEC, 2, 0.5, 0.0)
     with pytest.raises(BadWindow):
         window_projection(P1_SPEC, 2, 0.5, -0.2)
+    # NaN fails every comparison, so a bare "epsilon <= 0" check lets it through
+    psi = PureState(2, np.array([0.8, 0.6]))
+    for eps in (math.nan, math.inf):
+        with pytest.raises(BadWindow):
+            window_mass(psi, P1_SPEC, [2], eps)
+        with pytest.raises(BadWindow):
+            window_projection(P1_SPEC, 2, 0.5, eps)
     psi3 = PureState(3, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(BadWindow):
         window_mass(psi3, P1_SPEC, [2], 0.1)

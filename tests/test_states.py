@@ -119,6 +119,9 @@ def test_non_finite_states_are_rejected(one_site):
         NSiteState(SiteSpace(2, 2), two_site)
     # an unvalidated state is taken as given
     NSiteState(SiteSpace(2, 2), two_site, validate=False)
+    # every first row holds a non-finite amplitude
+    with pytest.raises(InvalidState):
+        PureState(2, arr[0])
 
 
 def test_pure_state_validation():
