@@ -44,9 +44,9 @@ def ball_starts() -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
-def project_ball(v: np.ndarray) -> np.ndarray:
-    r = float(np.linalg.norm(v))
-    return v / r if r > 1.0 else v
+def project_ball(points: np.ndarray) -> np.ndarray:
+    """The rows of a (B, 3) array, those outside the unit ball moved radially onto it."""
+    return points / np.maximum(np.linalg.norm(points, axis=1, keepdims=True), 1.0)
 
 
 def maximize_on_ball(fn) -> tuple[np.ndarray, float]:
@@ -70,8 +70,7 @@ def maximize_on_ball(fn) -> tuple[np.ndarray, float]:
         outward = np.maximum((b * g).sum(axis=1, keepdims=True), 0.0)
         g = g - outward * b * (np.linalg.norm(b, axis=1, keepdims=True) >= 1.0 - 1e-12)
         lengths = np.linalg.norm(g, axis=1, keepdims=True)
-        cand = b + steps[live, None] * g / np.maximum(lengths, 1e-300)
-        cand /= np.maximum(np.linalg.norm(cand, axis=1, keepdims=True), 1.0)
+        cand = project_ball(b + steps[live, None] * g / np.maximum(lengths, 1e-300))
         c_vals, c_grads = fn(cand)
         gain = c_vals > vals[live]
         moved = live[gain]

@@ -119,11 +119,12 @@ def _parse_psi(text: str) -> PureState:
         raise BadFlag("state needs at least two amplitudes")
     if not all(map(math.isfinite, vals)):
         raise BadFlag(f"amplitudes must be finite, got {text!r}")
-    amps = np.array(vals, dtype=np.complex128)
-    norm = float(np.linalg.norm(amps))
+    # hypot scales its arguments, so tiny or huge amplitudes neither underflow
+    # to zero nor overflow
+    norm = math.hypot(*vals)
     if norm <= 0.0:
         raise BadFlag("state amplitudes are all zero")
-    return PureState(amps.size, amps / norm)
+    return PureState(len(vals), np.array(vals, dtype=np.complex128) / norm)
 
 
 def _parse_atoms(text: str) -> tuple[DiscreteMixture, str]:
@@ -173,7 +174,6 @@ def _cmd_born_converge(args):
     n_list = _parse_n_list(args.n)
     SiteSpace(psi.d, n_list[-1])  # the cap for this d, before any n runs
     born = float(abs(psi.amplitudes[args.lam]) ** 2)
-    tol = args.tol if args.tol is not None else 1e-10
     records = [
         {"n": int(n), "value": float(v), "born": born, "abs_error": abs(float(v) - born)}
         for n, v in born_curve(psi, spec, n_list)
@@ -183,11 +183,11 @@ def _cmd_born_converge(args):
         "psi": [float(a.real) for a in psi.amplitudes],
         "lambda": args.lam,
         "n_list": n_list,
-        "tol": tol,
+        "tol": args.tol,
     }
     return config, ("n", "value", "born", "abs_error"), records, {
         "max_abs_error": worst,
-        "ok": worst <= tol,
+        "ok": worst <= args.tol,
     }
 
 
@@ -273,7 +273,6 @@ def _cmd_slln_mc(args):
 def _cmd_boolean_check(args):
     if args.instances < 1:
         raise BadFlag(f"need at least one instance, got {args.instances}")
-    tol = args.tol if args.tol is not None else 1e-10
     rng = np.random.default_rng(args.rng_seed)
     records = []
     for idx in range(args.instances):
@@ -297,10 +296,10 @@ def _cmd_boolean_check(args):
         "max_leaves": args.max_leaves,
         "sites": args.sites,
         "rng_seed": args.rng_seed,
-        "tol": tol,
+        "tol": args.tol,
     }
     cols = ("instance", "sites", "leaves", "quantum", "classical", "abs_error")
-    return config, cols, records, {"max_abs_error": worst, "ok": worst <= tol}
+    return config, cols, records, {"max_abs_error": worst, "ok": worst <= args.tol}
 
 
 def _cmd_definetti_fit(args):
@@ -325,18 +324,17 @@ def _cmd_field_check(args):
     mix, canon = _parse_atoms(args.atoms)
     section, canon_sec = _parse_section(args.section)
     n_list = _parse_n_list(args.n) if args.n else list(range(section.m, 9))
-    tol = args.tol if args.tol is not None else 1e-9
     rows = field_of_states_check(mix, section, n_list)
     records = [
         {"n": n, "lhs": float(lhs), "rhs": float(rhs), "abs_error": abs(lhs - rhs)}
         for n, lhs, rhs in rows
     ]
     worst = max(r["abs_error"] for r in records)
-    config = {"atoms": canon, "section": canon_sec, "n_list": n_list, "tol": tol}
+    config = {"atoms": canon, "section": canon_sec, "n_list": n_list, "tol": args.tol}
     return config, ("n", "lhs", "rhs", "abs_error"), records, {
         "limit_value": records[0]["rhs"],
         "max_abs_error": worst,
-        "ok": worst <= tol,
+        "ok": worst <= args.tol,
     }
 
 
@@ -379,8 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="json")
-    common.add_argument("--rng-seed", type=_u64, default=0, dest="rng_seed", metavar="U64")
-    common.add_argument("--tol", type=_tol, default=None, metavar="REAL")
     common.add_argument(
         "--no-timestamp",
         action="store_true",
@@ -398,6 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True, help="comma-separated real amplitudes, normalized")
     p.add_argument("--lambda", dest="lam", type=int, default=1, help="basis outcome index")
     p.add_argument("--n", default="1..10", help="site counts, lo..hi or comma list")
+    p.add_argument("--tol", type=_tol, default=1e-10, metavar="REAL")
 
     p = sub.add_parser("commutator-decay", parents=[common], help="commutator norm per n")
     p.add_argument("--seed1", required=True, help="section descriptor or bare letter")
@@ -419,11 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True, help="sequence length per trial")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--rng-seed", type=_u64, default=0, metavar="U64")
 
     p = sub.add_parser("boolean-check", parents=[common], help="event vs projection agreement")
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--max-leaves", dest="max_leaves", type=int, default=4)
     p.add_argument("--sites", type=int, default=6)
+    p.add_argument("--rng-seed", type=_u64, default=0, metavar="U64")
+    p.add_argument("--tol", type=_tol, default=1e-10, metavar="REAL")
 
     p = sub.add_parser("definetti-fit", parents=[common], help="mixture recovery round trip")
     p.add_argument("--atoms", required=True, help="truth mixture, w:x,y,z;w:x,y,z")
@@ -434,6 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", required=True)
     p.add_argument("--section", required=True)
     p.add_argument("--n", default=None, help="defaults to seed order..8")
+    p.add_argument("--tol", type=_tol, default=1e-9, metavar="REAL")
 
     return parser
 

@@ -314,7 +314,7 @@ def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
         cost = r @ r
         for _ in range(30):
             trial = x + step
-            trial[k:] = np.ravel([project_ball(b) for b in trial[k:].reshape(k, 3)])
+            trial[k:] = project_ball(trial[k:].reshape(k, 3)).ravel()
             c_r = _fun(trial)
             if c_r @ c_r < cost:
                 break

@@ -38,6 +38,19 @@ class InvalidState(MacrofieldError):
 from .linalg import DimensionOverflow  # noqa: E402  (intentional re-export)
 
 
+def _check_state(arr: np.ndarray) -> None:
+    """Raise InvalidState unless the density matrix is finite, Hermitian, of
+    unit trace and positive semidefinite."""
+    if not np.isfinite(arr).all():
+        raise InvalidState("density matrix has non-finite entries")
+    if np.abs(arr - arr.conj().T).max() > TOL_HERM:
+        raise InvalidState("density matrix is not Hermitian")
+    if abs(arr.trace().real - 1.0) > 1e-12 or abs(arr.trace().imag) > 1e-12:
+        raise InvalidState(f"trace {arr.trace():.6g} != 1")
+    if np.linalg.eigvalsh(arr)[0] < -1e-10:
+        raise InvalidState("density matrix has a negative eigenvalue")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """One-site state: Hermitian, unit trace, positive semidefinite."""
@@ -49,14 +62,7 @@ class DensityMatrix:
         arr = np.asarray(self.entries, dtype=np.complex128)
         if arr.shape != (self.d, self.d):
             raise SpaceMismatch(f"entries shape {arr.shape} does not match d={self.d}")
-        if not np.isfinite(arr).all():
-            raise InvalidState("density matrix has non-finite entries")
-        if np.abs(arr - arr.conj().T).max() > TOL_HERM:
-            raise InvalidState("density matrix is not Hermitian")
-        if abs(arr.trace().real - 1.0) > 1e-12 or abs(arr.trace().imag) > 1e-12:
-            raise InvalidState(f"trace {arr.trace():.6g} != 1")
-        if np.linalg.eigvalsh(arr)[0] < -1e-10:
-            raise InvalidState("density matrix has a negative eigenvalue")
+        _check_state(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
@@ -108,14 +114,7 @@ class NSiteState:
         if arr.shape != (space.dim, space.dim):
             raise SpaceMismatch(f"rho shape {arr.shape} does not match dim {space.dim}")
         if validate:
-            if not np.isfinite(arr).all():
-                raise InvalidState("rho has non-finite entries")
-            if np.abs(arr - arr.conj().T).max() > TOL_HERM:
-                raise InvalidState("rho is not Hermitian")
-            if abs(arr.trace().real - 1.0) > 1e-12:
-                raise InvalidState(f"trace {arr.trace().real:.6g} != 1")
-            if np.linalg.eigvalsh(arr)[0] < -1e-10:
-                raise InvalidState("rho has a negative eigenvalue")
+            _check_state(arr)
         if arr is rho:
             arr = arr.copy()
         arr.flags.writeable = False

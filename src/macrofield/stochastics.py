@@ -1,15 +1,17 @@
 """Classical Bernoulli sequence space next to its qubit image.
 
 Finite cylinder events and their AND/OR/NOT combinations map onto commuting
-diagonal projections on n qubit sites, held as 0/1 vectors over the 2**k bit
-assignments of the k sites an event involves, whatever n. Sampling utilities
+diagonal projections on n qubit sites. One tree walk reads an event on the
+2**k bit assignments of the k sites it involves, whatever n, in either
+algebra: as truth values, whose Bernoulli weights (the k-fold Kronecker power
+of (1 - p, p)) sum to its probability, or as the 0/1 eigenvalues of its
+projection image, whose Born weights sum to its expectation. Sampling utilities
 check the strong law of large numbers numerically, with a counter-based
 generator so every run is reproducible bit for bit from a 64-bit seed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -229,65 +231,55 @@ def slln_check(spec: BernoulliSpec, n: int, trials: int, delta: float, seed: int
     return SllnReport(spec.p, n, trials, delta, hits / trials, hoeffding_bound(n, delta))
 
 
-def _indicator(expr: BooleanExpr, sites: tuple[int, ...]) -> np.ndarray:
-    """0/1 values of the expression on the bit assignments of `sites`, the
-    first site the leading bit: AND is a * b, OR is a + b - a * b, NOT is 1 - a."""
+# the two algebras of an event on its bit assignments, as (dtype, AND, OR, NOT):
+# truth values on bit sequences, and the 0/1 eigenvalues of its image, the
+# commuting projections where AND is AB, OR is A + B - AB and NOT is 1 - A
+_TRUTH = (bool, np.logical_and, np.logical_or, np.logical_not)
+_PROJECTION = (float, np.multiply, lambda a, b: a + b - a * b, lambda a: 1.0 - a)
+
+
+def _evaluate(expr: BooleanExpr, sites: tuple[int, ...], algebra: tuple) -> np.ndarray:
+    """Values of the expression in the algebra on the 2**k bit assignments of
+    `sites`, the first site the leading bit; a leaf holds on the assignments
+    that meet all its constraints."""
+    dtype, conj, disj, neg = algebra
     if isinstance(expr, Leaf):
         idx = np.arange(1 << len(sites))
-        acc = np.ones(idx.size)
+        hit = np.ones(idx.size, dtype=bool)
         for site, bit in expr.event.constraints:
-            acc *= ((idx >> (len(sites) - 1 - sites.index(site))) & 1) == bit
-        return acc
+            hit &= ((idx >> (len(sites) - 1 - sites.index(site))) & 1) == bit
+        return hit.astype(dtype)
     if isinstance(expr, Not):
-        return 1.0 - _indicator(expr.inner, sites)
-    if isinstance(expr, And):
-        return _indicator(expr.left, sites) * _indicator(expr.right, sites)
-    if isinstance(expr, Or):
-        a, b = _indicator(expr.left, sites), _indicator(expr.right, sites)
-        return a + b - a * b
+        return neg(_evaluate(expr.inner, sites, algebra))
+    if isinstance(expr, (And, Or)):
+        op = conj if isinstance(expr, And) else disj
+        return op(_evaluate(expr.left, sites, algebra), _evaluate(expr.right, sites, algebra))
     raise TypeError(f"not a boolean expression node: {expr!r}")
 
 
 def cylinder_to_projection(expr: BooleanExpr, n: int) -> Operator:
     """Boolean-to-projection map: AND is the product, OR is A + B - AB, NOT
     is 1 - A. All images are commuting diagonal 0/1 projections; this is the
-    dense image of the indicator over the basis sequences of sites 1..n."""
+    dense image of the expression over the basis sequences of sites 1..n."""
     space = SiteSpace(2, n)
     if max(involved_sites(expr), default=0) > n:
         raise SiteBeyondHorizon(f"the expression fixes a site beyond the horizon {n}")
-    return Operator(space, np.diag(_indicator(expr, tuple(range(1, n + 1)))), copy=False)
-
-
-def _holds(expr: BooleanExpr, assignment: dict[int, int]) -> bool:
-    if isinstance(expr, Leaf):
-        return all(assignment[k] == bit for k, bit in expr.event.constraints)
-    if isinstance(expr, Not):
-        return not _holds(expr.inner, assignment)
-    if isinstance(expr, And):
-        return _holds(expr.left, assignment) and _holds(expr.right, assignment)
-    if isinstance(expr, Or):
-        return _holds(expr.left, assignment) or _holds(expr.right, assignment)
-    raise TypeError(f"not a boolean expression node: {expr!r}")
+    diag = _evaluate(expr, tuple(range(1, n + 1)), _PROJECTION)
+    return Operator(space, np.diag(diag), copy=False)
 
 
 def classical_probability(spec: BernoulliSpec, expr: BooleanExpr) -> float:
     """Exact mu_p probability of the expression.
 
-    Enumerates bit assignments of the involved sites, which is the
-    inclusion-exclusion expansion summed atom by atom.
+    The truth values of the expression on the bit assignments of its involved
+    sites select their Bernoulli weights, the Kronecker power of (1 - p, p),
+    which are summed one by one in assignment order.
     """
     sites = involved_sites(expr)
     if len(sites) > MAX_ENUM_SITES:
         raise TooManySites(f"{len(sites)} involved sites exceed the cap {MAX_ENUM_SITES}")
-    p = spec.p
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=len(sites)):
-        if _holds(expr, dict(zip(sites, bits))):
-            weight = 1.0
-            for b in bits:
-                weight *= p if b else 1.0 - p
-            total += weight
-    return total
+    weights = kron_power(np.array([1.0 - spec.p, spec.p]), len(sites))
+    return sum(weights[_evaluate(expr, sites, _TRUTH)].tolist(), 0.0)
 
 
 def quantum_classical_agreement(
@@ -303,5 +295,5 @@ def quantum_classical_agreement(
     p = min(max(abs(psi.amplitudes[1]) ** 2, 0.0), 1.0)
     classical = classical_probability(BernoulliSpec(p), expr)  # caps the site count
     weights = kron_power(np.abs(psi.amplitudes) ** 2, len(sites))
-    quantum = float(weights @ _indicator(expr, sites))
+    quantum = float(weights @ _evaluate(expr, sites, _PROJECTION))
     return quantum, classical

@@ -2,8 +2,9 @@
 
 Oracles here are deliberately independent of the library internals: naive
 Kronecker chains, explicit permutation matrices built by basis-index loops,
-closed-form binomials via math.comb, in floats or exact rationals, and a
-scalar Nelder-Mead search over qubit states for the batched ball oracle.
+closed-form binomials via math.comb, in floats or exact rationals, a
+scalar Nelder-Mead search over qubit states for the batched ball oracle, and
+an event probability summed one bit assignment at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from macrofield._optim import ball_starts
+from macrofield.stochastics import And, Leaf, Not, Or, involved_sites
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -107,6 +109,33 @@ def nelder_mead_sup(fn) -> float:
         best = max(best, -float(res.fun))
     assert converged, "no Nelder-Mead start converged"
     return best
+
+
+def _holds(expr, assignment: dict[int, int]) -> bool:
+    if isinstance(expr, Leaf):
+        return all(assignment[k] == bit for k, bit in expr.event.constraints)
+    if isinstance(expr, Not):
+        return not _holds(expr.inner, assignment)
+    if isinstance(expr, And):
+        return _holds(expr.left, assignment) and _holds(expr.right, assignment)
+    if isinstance(expr, Or):
+        return _holds(expr.left, assignment) or _holds(expr.right, assignment)
+    raise TypeError(f"not a boolean expression node: {expr!r}")
+
+
+def naive_event_probability(p: float, expr) -> float:
+    """Bernoulli(p) probability of a boolean expression: every bit assignment
+    of its involved sites is tried in turn, and the weight of each one that
+    satisfies the expression is multiplied out bit by bit and added."""
+    sites = involved_sites(expr)
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=len(sites)):
+        if _holds(expr, dict(zip(sites, bits))):
+            weight = 1.0
+            for b in bits:
+                weight *= p if b else 1.0 - p
+            total += weight
+    return total
 
 
 def binom_window_mass(n: int, p: float, eps: float) -> float:

@@ -399,12 +399,25 @@ def test_timestamp_appears_by_default():
         ("boolean-check", "--instances", "2", "--tol", "-1"),
         ("field-check", "--atoms", "1.0:0,0,1", "--section", "avg(Z)", "--n", "1..3",
          "--tol", "inf"),
+        # each subcommand takes only the flags it reads
+        ("norm-gap", "--section", "X", "--n", "2..4", "--tol", "1e-3"),
+        ("born-converge", "--psi", "0.8,0.6", "--rng-seed", "1"),
     ],
 )
 def test_bad_input_exits_2(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stderr.strip() != ""
+
+
+@pytest.mark.parametrize("psi", ["1e-200,1e-200", "1e200,1e200"])
+def test_psi_normalization_survives_tiny_and_huge_amplitudes(psi, capsys):
+    # squaring these amplitudes would underflow to zero or overflow
+    echoes = []
+    for text in ("1,1", psi):
+        assert cli.run(["born-converge", "--psi", text, "--n", "1..2", "--no-timestamp"]) == 0
+        echoes.append(json.loads(capsys.readouterr().out)["config"]["psi"])
+    assert echoes[1] == echoes[0]
 
 
 def test_help_exits_0():

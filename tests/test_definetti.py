@@ -59,6 +59,7 @@ from macrofield.states import (
     PureState,
     a_infinity,
     bloch_to_density,
+    density_to_bloch,
     expect,
     is_permutation_invariant,
     product_power,
@@ -489,6 +490,47 @@ def test_fit_converges_at_two_sites(spec):
     res = recover_mixture(bloch_mixture(spec), 2, 6)
     assert res.residual <= 1e-10
     assert not res.budget_exhausted
+
+
+def ghz_state(n: int) -> NSiteState:
+    v = np.zeros(2**n)
+    v[[0, -1]] = 2**-0.5
+    return NSiteState(SiteSpace(2, n), np.outer(v, v))
+
+
+def w_state(n: int) -> NSiteState:
+    v = np.zeros(2**n)
+    v[1 << np.arange(n)] = n**-0.5
+    return NSiteState(SiteSpace(2, n), np.outer(v, v))
+
+
+@pytest.mark.parametrize(
+    "target, k_max",
+    [
+        # entangled targets, which no mixture of product powers reaches; they
+        # drive the fit through its safeguards, in turn: the dead-atom drop,
+        # the merge, the prune retries and the refinement gate past 8 atoms,
+        # and the stop on a round that gains nothing
+        (ghz_state(2), 6),
+        (ghz_state(3), 6),
+        (w_state(3), 9),
+        (ghz_state(4), 10),
+    ],
+    ids=["ghz2", "ghz3", "w3", "ghz4"],
+)
+def test_fit_safeguards_return_a_valid_mixture(target, k_max):
+    res = fit_mixture(target, k_max)
+    weights = np.array([w for w, _ in res.mixture.atoms])
+    assert (weights > 0.0).all()
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    for _, rho in res.mixture.atoms:
+        b = density_to_bloch(rho)
+        assert math.hypot(b.x, b.y, b.z) <= 1.0 + 1e-12
+    # the reported residual is the distance of the returned mixture, which the
+    # orthonormal chart gives as the Frobenius distance of the dense states
+    dense = np.linalg.norm(target.rho - mixture_state(res.mixture, target.space.n).rho)
+    assert abs(res.residual - dense) <= 1e-12
+    assert res.residual == res.history[-1]
 
 
 def test_fit_rejects_bad_inputs():

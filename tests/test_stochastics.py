@@ -1,7 +1,8 @@
 """Bernoulli sampling, the strong-law check, and the Boolean-to-projection map.
 
-Classical reference probabilities come from hand arithmetic (p, p^2, 1 - p)
-and from the Hoeffding bound computed inline; projection oracles are explicit
+Classical reference probabilities come from hand arithmetic (p, p^2, 1 - p),
+from the Hoeffding bound computed inline, and from summing event weights one
+bit assignment at a time (conftest); projection oracles are explicit
 Kronecker diagonals, and the involved-site route is checked against the
 indicator over all 2**n basis sequences.
 """
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import macrofield.stochastics as stochastics
-from conftest import haar_qubit
+from conftest import haar_qubit, naive_event_probability
 from macrofield.linalg import (
     PROJ_0,
     PROJ_1,
@@ -27,6 +28,7 @@ from macrofield.linalg import (
 )
 from macrofield.states import PureState, power_vector
 from macrofield.stochastics import (
+    MAX_ENUM_SITES,
     And,
     BernoulliSpec,
     CylinderEvent,
@@ -261,6 +263,38 @@ def test_classical_probability_site_cap():
         classical_probability(BernoulliSpec(0.5), extra)
 
 
+# twelve scattered sites, so that involved sites are not a contiguous range
+EVENT_SITES = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 1000, 10**6)
+_leaf = st.dictionaries(st.sampled_from(EVENT_SITES), st.integers(0, 1), max_size=4).map(
+    lambda constraints: Leaf(CylinderEvent(constraints))
+)
+expressions = st.recursive(
+    _leaf,
+    lambda kids: st.one_of(
+        st.builds(And, kids, kids), st.builds(Or, kids, kids), st.builds(Not, kids)
+    ),
+    max_leaves=12,
+)
+biases = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(expressions, biases)
+def test_classical_probability_matches_the_enumeration_oracle(expr, p):
+    got = classical_probability(BernoulliSpec(p), expr)
+    assert abs(got - naive_event_probability(p, expr)) <= 1e-12
+
+
+def test_classical_probability_matches_the_oracle_at_the_site_cap():
+    rng = np.random.default_rng(16)
+    wide = Leaf(CylinderEvent({k: int(rng.integers(2)) for k in range(1, MAX_ENUM_SITES + 1)}))
+    expr = Or(random_expression(rng, MAX_ENUM_SITES, 24), Not(wide))
+    assert len(involved_sites(expr)) == MAX_ENUM_SITES
+    p = float(rng.random())
+    got = classical_probability(BernoulliSpec(p), expr)
+    assert abs(got - naive_event_probability(p, expr)) <= 1e-12
+
+
 # ---------------------------------------------------------------- involved sites
 
 
@@ -270,7 +304,7 @@ def test_involved_site_route_matches_the_full_indicator(seed, n, max_leaves):
     rng = np.random.default_rng(seed)
     expr = random_expression(rng, n, max_leaves)
     psi = PureState(2, haar_qubit(rng))
-    full = stochastics._indicator(expr, tuple(range(1, n + 1)))
+    full = stochastics._evaluate(expr, tuple(range(1, n + 1)), stochastics._PROJECTION)
     want = np.abs(power_vector(psi, n)) ** 2 @ full
     quantum, _ = quantum_classical_agreement(psi, expr, n)
     assert abs(quantum - want) <= 1e-12
@@ -291,7 +325,7 @@ def test_agreement_checks_sites_before_allocating(monkeypatch):
         raise AssertionError("the quantum side allocated before the site checks")
 
     monkeypatch.setattr(stochastics, "kron_power", must_not_run)
-    monkeypatch.setattr(stochastics, "_indicator", must_not_run)
+    monkeypatch.setattr(stochastics, "_evaluate", must_not_run)
     psi = PureState(2, np.array([0.8, 0.6]))
     wide = Or(Leaf(CylinderEvent({k: 1 for k in range(1, 17)})), cylinder(10**6, 0))
     with pytest.raises(TooManySites):
