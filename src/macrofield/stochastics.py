@@ -1,13 +1,14 @@
 """Classical Bernoulli sequence space next to its qubit image.
 
 Finite cylinder events and their AND/OR/NOT combinations map onto commuting
-diagonal projections on n qubit sites. One tree walk reads an event on the
-2**k bit assignments of the k sites it involves, whatever n, in either
-algebra: as truth values, whose Bernoulli weights (the k-fold Kronecker power
-of (1 - p, p)) sum to its probability, or as the 0/1 eigenvalues of its
-projection image, whose Born weights sum to its expectation. Sampling utilities
-check the strong law of large numbers numerically, with a counter-based
-generator so every run is reproducible bit for bit from a 64-bit seed.
+diagonal projections on n qubit sites. One tree walk reads an event as the 0/1
+eigenvalues of its projection image on the 2**k bit assignments of the k sites
+it involves, whatever n: Born weights summed against them give its expectation,
+and, since the values are exactly 0.0 and 1.0, they are also its truth values,
+which select the Bernoulli weights (the k-fold Kronecker power of (1 - p, p))
+that sum to its probability. Sampling utilities check the strong law of large
+numbers numerically, with a counter-based generator so every run is
+reproducible bit for bit from a 64-bit seed.
 """
 
 from __future__ import annotations
@@ -231,55 +232,48 @@ def slln_check(spec: BernoulliSpec, n: int, trials: int, delta: float, seed: int
     return SllnReport(spec.p, n, trials, delta, hits / trials, hoeffding_bound(n, delta))
 
 
-# the two algebras of an event on its bit assignments, as (dtype, AND, OR, NOT):
-# truth values on bit sequences, and the 0/1 eigenvalues of its image, the
-# commuting projections where AND is AB, OR is A + B - AB and NOT is 1 - A
-_TRUTH = (bool, np.logical_and, np.logical_or, np.logical_not)
-_PROJECTION = (float, np.multiply, lambda a, b: a + b - a * b, lambda a: 1.0 - a)
-
-
-def _evaluate(expr: BooleanExpr, sites: tuple[int, ...], algebra: tuple) -> np.ndarray:
-    """Values of the expression in the algebra on the 2**k bit assignments of
-    `sites`, the first site the leading bit; a leaf holds on the assignments
-    that meet all its constraints."""
-    dtype, conj, disj, neg = algebra
+def _indicator(expr: BooleanExpr, sites: tuple[int, ...]) -> np.ndarray:
+    """0/1 values of the expression on the bit assignments of `sites`, the
+    first site the leading bit: AND is a * b, OR is a + b - a * b, NOT is 1 - a.
+    Products and sums of 0.0 and 1.0 are exact, so these are also its truth values."""
     if isinstance(expr, Leaf):
         idx = np.arange(1 << len(sites))
-        hit = np.ones(idx.size, dtype=bool)
+        acc = np.ones(idx.size)
         for site, bit in expr.event.constraints:
-            hit &= ((idx >> (len(sites) - 1 - sites.index(site))) & 1) == bit
-        return hit.astype(dtype)
+            acc *= ((idx >> (len(sites) - 1 - sites.index(site))) & 1) == bit
+        return acc
     if isinstance(expr, Not):
-        return neg(_evaluate(expr.inner, sites, algebra))
-    if isinstance(expr, (And, Or)):
-        op = conj if isinstance(expr, And) else disj
-        return op(_evaluate(expr.left, sites, algebra), _evaluate(expr.right, sites, algebra))
+        return 1.0 - _indicator(expr.inner, sites)
+    if isinstance(expr, And):
+        return _indicator(expr.left, sites) * _indicator(expr.right, sites)
+    if isinstance(expr, Or):
+        a, b = _indicator(expr.left, sites), _indicator(expr.right, sites)
+        return a + b - a * b
     raise TypeError(f"not a boolean expression node: {expr!r}")
 
 
 def cylinder_to_projection(expr: BooleanExpr, n: int) -> Operator:
     """Boolean-to-projection map: AND is the product, OR is A + B - AB, NOT
     is 1 - A. All images are commuting diagonal 0/1 projections; this is the
-    dense image of the expression over the basis sequences of sites 1..n."""
+    dense image of the indicator over the basis sequences of sites 1..n."""
     space = SiteSpace(2, n)
     if max(involved_sites(expr), default=0) > n:
         raise SiteBeyondHorizon(f"the expression fixes a site beyond the horizon {n}")
-    diag = _evaluate(expr, tuple(range(1, n + 1)), _PROJECTION)
-    return Operator(space, np.diag(diag), copy=False)
+    return Operator(space, np.diag(_indicator(expr, tuple(range(1, n + 1)))), copy=False)
 
 
 def classical_probability(spec: BernoulliSpec, expr: BooleanExpr) -> float:
     """Exact mu_p probability of the expression.
 
-    The truth values of the expression on the bit assignments of its involved
-    sites select their Bernoulli weights, the Kronecker power of (1 - p, p),
+    The indicator of the expression on the bit assignments of its involved
+    sites selects their Bernoulli weights, the Kronecker power of (1 - p, p),
     which are summed one by one in assignment order.
     """
     sites = involved_sites(expr)
     if len(sites) > MAX_ENUM_SITES:
         raise TooManySites(f"{len(sites)} involved sites exceed the cap {MAX_ENUM_SITES}")
     weights = kron_power(np.array([1.0 - spec.p, spec.p]), len(sites))
-    return sum(weights[_evaluate(expr, sites, _TRUTH)].tolist(), 0.0)
+    return sum(weights[_indicator(expr, sites) == 1.0].tolist(), 0.0)
 
 
 def quantum_classical_agreement(
@@ -295,5 +289,5 @@ def quantum_classical_agreement(
     p = min(max(abs(psi.amplitudes[1]) ** 2, 0.0), 1.0)
     classical = classical_probability(BernoulliSpec(p), expr)  # caps the site count
     weights = kron_power(np.abs(psi.amplitudes) ** 2, len(sites))
-    quantum = float(weights @ _evaluate(expr, sites, _PROJECTION))
+    quantum = float(weights @ _indicator(expr, sites))
     return quantum, classical

@@ -504,22 +504,73 @@ def w_state(n: int) -> NSiteState:
     return NSiteState(SiteSpace(2, n), np.outer(v, v))
 
 
+def record_safeguards(monkeypatch) -> dict:
+    """Wrap the fit's helpers so that the returned record notes its greedy
+    rounds, the atom counts its prune retries start from, rounds past the
+    8-atom refinement gate, merges, and weight solves made outside a round,
+    which only the dead-atom drop makes. A round is greedy when a vertex
+    search starts it; the prune retries start without one."""
+    hits = {"greedy": 0, "retry_sizes": set(), "gate": 0, "merge": 0, "dead": 0}
+    real = {f: getattr(definetti, f) for f in ("_best_vertex", "_round", "_settle", "_merge_atoms")}
+    state = {"vertex": False, "depth": 0}
+
+    def best_vertex(c, n):
+        state["vertex"] = True
+        return real["_best_vertex"](c, n)
+
+    def round_(t, n, blochs, w0):
+        if state["vertex"]:
+            hits["greedy"] += 1
+        else:
+            hits["retry_sizes"].add(len(blochs))
+        hits["gate"] += len(blochs) > 8
+        state["vertex"] = False
+        state["depth"] += 1
+        try:
+            return real["_round"](t, n, blochs, w0)
+        finally:
+            state["depth"] -= 1
+
+    def settle(t, n, blochs, w0):
+        hits["dead"] += state["depth"] == 0
+        return real["_settle"](t, n, blochs, w0)
+
+    def merge_atoms(blochs, weights):
+        merged, w = real["_merge_atoms"](blochs, weights)
+        hits["merge"] += len(merged) < len(blochs)
+        return merged, w
+
+    for f, wrapper in zip(real, (best_vertex, round_, settle, merge_atoms)):
+        monkeypatch.setattr(definetti, f, wrapper)
+    return hits
+
+
 @pytest.mark.parametrize(
-    "target, k_max",
+    "target, k_max, safeguards",
     [
-        # entangled targets, which no mixture of product powers reaches; they
-        # drive the fit through its safeguards, in turn: the dead-atom drop,
-        # the merge, the prune retries and the refinement gate past 8 atoms,
-        # and the stop on a round that gains nothing
-        (ghz_state(2), 6),
-        (ghz_state(3), 6),
-        (w_state(3), 9),
-        (ghz_state(4), 10),
+        # entangled targets, which no mixture of product powers reaches, each
+        # driving the fit through some of its safeguards
+        (ghz_state(2), 6, ("dead-atom drop",)),
+        (ghz_state(3), 6, ("merge",)),
+        (w_state(3), 10, ("kept prune retry", "gate")),
+        (ghz_state(4), 10, ("merge", "no-gain stop")),
     ],
     ids=["ghz2", "ghz3", "w3", "ghz4"],
 )
-def test_fit_safeguards_return_a_valid_mixture(target, k_max):
+def test_fit_safeguards_return_a_valid_mixture(monkeypatch, target, k_max, safeguards):
+    hits = record_safeguards(monkeypatch)
     res = fit_mixture(target, k_max)
+    reached = {
+        "dead-atom drop": hits["dead"] > 0,
+        "merge": hits["merge"] > 0,
+        # a pass of retries starts each from one atom fewer than it holds,
+        # so retries of two sizes mean that a pass kept one
+        "kept prune retry": len(hits["retry_sizes"]) > 1,
+        "gate": hits["gate"] > 0,
+        # only a rejected greedy round adds no residual to the history
+        "no-gain stop": hits["greedy"] > res.iterations,
+    }
+    assert [s for s in safeguards if not reached[s]] == []
     weights = np.array([w for w, _ in res.mixture.atoms])
     assert (weights > 0.0).all()
     assert abs(weights.sum() - 1.0) <= 1e-12

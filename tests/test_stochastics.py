@@ -304,7 +304,7 @@ def test_involved_site_route_matches_the_full_indicator(seed, n, max_leaves):
     rng = np.random.default_rng(seed)
     expr = random_expression(rng, n, max_leaves)
     psi = PureState(2, haar_qubit(rng))
-    full = stochastics._evaluate(expr, tuple(range(1, n + 1)), stochastics._PROJECTION)
+    full = stochastics._indicator(expr, tuple(range(1, n + 1)))
     want = np.abs(power_vector(psi, n)) ** 2 @ full
     quantum, _ = quantum_classical_agreement(psi, expr, n)
     assert abs(quantum - want) <= 1e-12
@@ -325,7 +325,7 @@ def test_agreement_checks_sites_before_allocating(monkeypatch):
         raise AssertionError("the quantum side allocated before the site checks")
 
     monkeypatch.setattr(stochastics, "kron_power", must_not_run)
-    monkeypatch.setattr(stochastics, "_evaluate", must_not_run)
+    monkeypatch.setattr(stochastics, "_indicator", must_not_run)
     psi = PureState(2, np.array([0.8, 0.6]))
     wide = Or(Leaf(CylinderEvent({k: 1 for k in range(1, 17)})), cylinder(10**6, 0))
     with pytest.raises(TooManySites):
