@@ -17,10 +17,12 @@ import numpy as np
 
 from . import __version__
 from ._optim import OptimizerFailed
-from .definetti import DiscreteMixture, field_of_states_check, recover_mixture
+from .definetti import MAX_CHART_SITES, DiscreteMixture, field_of_states_check, recover_mixture
 from .linalg import PAULI, EigFailed, MacrofieldError, Operator, SiteSpace
-from .macrolimit import born_curve, commutator_decay, fit_decay_exponent, norm_gap, window_mass
-from .sections import FrequencySpec, SymmetricSection, frequency_section
+from .macrolimit import (
+    MAX_COUNT_SITES, born_curve, commutator_decay, fit_decay_exponent, norm_gap, window_mass
+)
+from .sections import MAX_BLOCK_SITES, FrequencySpec, SymmetricSection, frequency_section
 from .states import BlochVector, PureState, bloch_to_density, density_to_bloch
 from .stochastics import (
     BernoulliSpec,
@@ -46,6 +48,8 @@ class UnknownCommand(MacrofieldError):
 class BadFlag(MacrofieldError):
     pass
 
+
+MAX_INSTANCES = 10**4  # boolean-check instances per run
 
 # the one-site letters of the descriptor grammar; the identity is not one
 _LETTERS = ("X", "Y", "Z", "P0", "P1")
@@ -89,8 +93,9 @@ def _parse_section(text: str) -> tuple[SymmetricSection, str]:
     return frequency_section(spec), f"freq({k})"
 
 
-def _parse_n_list(text: str) -> list[int]:
-    """Either lo..hi or a comma list; the result is strictly increasing."""
+def _parse_n_list(text: str, cap: int) -> list[int]:
+    """Either lo..hi or a comma list of site counts in 1..cap, the cap of the
+    route that runs them; the result is strictly increasing."""
     src = text.strip()
     try:
         if ".." in src:
@@ -103,10 +108,9 @@ def _parse_n_list(text: str) -> list[int]:
             vals = sorted({int(tok) for tok in src.split(",")})
     except ValueError:
         raise BadFlag(f"bad site list {text!r}") from None
-    # both ends must be valid site counts, and qubit sites have the largest
-    # dense cap; checking before a range is expanded makes a huge one fail fast
-    SiteSpace(2, vals[0])
-    SiteSpace(2, vals[-1])
+    # both ends are checked before a range is expanded, so a huge one fails fast
+    if not (1 <= vals[0] and vals[-1] <= cap):
+        raise BadFlag(f"site counts must lie in 1..{cap}, the route's cap, got {text!r}")
     return list(vals)
 
 
@@ -171,8 +175,7 @@ def _clean(value):
 def _cmd_born_converge(args):
     psi = _parse_psi(args.psi)
     spec = _freq_spec(psi.d, args.lam)
-    n_list = _parse_n_list(args.n)
-    SiteSpace(psi.d, n_list[-1])  # the cap for this d, before any n runs
+    n_list = _parse_n_list(args.n, MAX_COUNT_SITES)
     born = float(abs(psi.amplitudes[args.lam]) ** 2)
     records = [
         {"n": int(n), "value": float(v), "born": born, "abs_error": abs(float(v) - born)}
@@ -194,7 +197,7 @@ def _cmd_born_converge(args):
 def _cmd_commutator_decay(args):
     s1, canon1 = _parse_section(args.seed1)
     s2, canon2 = _parse_section(args.seed2)
-    n_list = _parse_n_list(args.n)
+    n_list = _parse_n_list(args.n, MAX_BLOCK_SITES)
     recs = commutator_decay(s1, s2, n_list)
     records = [
         {"n": r.n, "value": float(r.value), "scaled": float(r.scaled)} for r in recs
@@ -208,7 +211,7 @@ def _cmd_commutator_decay(args):
 
 def _cmd_norm_gap(args):
     section, canon = _parse_section(args.section)
-    n_list = _parse_n_list(args.n)
+    n_list = _parse_n_list(args.n, MAX_BLOCK_SITES)
     records = [
         {
             "n": r.n,
@@ -229,8 +232,7 @@ def _cmd_norm_gap(args):
 def _cmd_window_mass(args):
     psi = _parse_psi(args.psi)
     spec = _freq_spec(psi.d, args.lam)
-    n_list = _parse_n_list(args.n)
-    SiteSpace(psi.d, n_list[-1])  # the cap for this d, before any n runs
+    n_list = _parse_n_list(args.n, MAX_COUNT_SITES)
     records = [
         {"n": r.n, "epsilon": float(r.epsilon), "mass": float(r.mass)}
         for r in window_mass(psi, spec, n_list, args.epsilon)
@@ -271,8 +273,8 @@ def _cmd_slln_mc(args):
 
 
 def _cmd_boolean_check(args):
-    if args.instances < 1:
-        raise BadFlag(f"need at least one instance, got {args.instances}")
+    if not 1 <= args.instances <= MAX_INSTANCES:
+        raise BadFlag(f"instances must lie in 1..{MAX_INSTANCES} (the cap), got {args.instances}")
     rng = np.random.default_rng(args.rng_seed)
     records = []
     for idx in range(args.instances):
@@ -304,7 +306,8 @@ def _cmd_boolean_check(args):
 
 def _cmd_definetti_fit(args):
     mix, canon = _parse_atoms(args.atoms)
-    SiteSpace(2, args.sites)  # the dense cap of the site lists, before any work
+    if not 1 <= args.sites <= MAX_CHART_SITES:
+        raise BadFlag(f"sites must lie in 1..{MAX_CHART_SITES}, the chart's cap, got {args.sites}")
     result = recover_mixture(mix, args.sites, args.k_max)
     records = []
     for idx, (w, rho) in enumerate(result.mixture.atoms):
@@ -323,7 +326,7 @@ def _cmd_definetti_fit(args):
 def _cmd_field_check(args):
     mix, canon = _parse_atoms(args.atoms)
     section, canon_sec = _parse_section(args.section)
-    n_list = _parse_n_list(args.n) if args.n else list(range(section.m, 9))
+    n_list = _parse_n_list(args.n, MAX_BLOCK_SITES) if args.n else list(range(section.m, 9))
     rows = field_of_states_check(mix, section, n_list)
     records = [
         {"n": n, "lhs": float(lhs), "rhs": float(rhs), "abs_error": abs(lhs - rhs)}

@@ -33,7 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._optim import maximize_on_ball, project_ball
-from .linalg import MacrofieldError, Operator, SiteSpace, SpaceMismatch, kron_power
+from .linalg import (
+    DimensionOverflow, MacrofieldError, Operator, SiteSpace, SpaceMismatch, kron_power
+)
 from .sections import BadOrder, SymmetricSection, spin_blocks
 from .states import (
     DensityMatrix,
@@ -47,6 +49,7 @@ from .states import (
 )
 
 __all__ = [
+    "MAX_CHART_SITES",
     "MERGE_DELTA",
     "NotSymmetric",
     "DiscreteMixture",
@@ -59,6 +62,8 @@ __all__ = [
 
 # atoms closer than this in trace distance are considered one atom
 MERGE_DELTA = 1e-2
+# site cap of the multiset chart; a fit of two or three atoms there takes 4 to 8 s
+MAX_CHART_SITES = 32
 # a round ends the fit if it gains less than this or leaves a residual below this
 IMPROVEMENT_TOL = 1e-9
 # projected-gradient steps of the simplex weight solve
@@ -153,7 +158,9 @@ class _Classes(NamedTuple):
 @functools.cache
 def _classes(n: int) -> _Classes:
     """The C(n+3, 3) multisets of n Pauli labels, in the order of
-    combinations_with_replacement."""
+    combinations_with_replacement; n may not exceed MAX_CHART_SITES."""
+    if n > MAX_CHART_SITES:
+        raise DimensionOverflow(f"n = {n} exceeds the chart cap {MAX_CHART_SITES}")
     rows = list(combinations_with_replacement(range(4), n))
     labels = np.array(rows, dtype=np.intp).reshape(len(rows), n)
     beta = np.stack([(labels == a).sum(axis=1) for a in range(4)], axis=1)

@@ -2,11 +2,12 @@
 
 Everything is stored as a dense complex128 matrix tagged with its site
 structure (d, n).  Site 1 is the leftmost, slowest-varying Kronecker factor;
-all public site indices are 1-based.  At d = 2 the hard ceiling is 14 sites
-(dim 16384), the command line's cap on every site count.  No command-line
-route builds its n-site objects here: qubit sections of order <= 2 go to
-total-spin blocks (`sections.spin_blocks`), the mixture fit to label-multiset
-coordinates (`definetti`), and the dense route is their fallback and oracle.
+all public site indices are 1-based.  Dimensions are capped at MAX_DIM = 4096
+(12 qubit sites), the largest size the tests and `bench/replay.py` build.  No
+command-line route builds its n-site objects here, and each caps its own site
+counts: qubit sections of order <= 2 go to total-spin blocks
+(`sections.spin_blocks`), the mixture fit to label-multiset coordinates
+(`definetti`), and the dense route is their fallback and oracle.
 
 Norms and products delegate to LAPACK and BLAS through numpy, with exact
 dispatch fast paths (exactly-real input, and diagonal input for norms) that
@@ -25,8 +26,7 @@ import numpy as np
 
 TOL_EIG = 1e-10    # relative tolerance for spectral decompositions
 TOL_HERM = 1e-12   # absolute tolerance for hermiticity checks
-MAX_DIM = 16384    # allocation cap: d**n may not exceed this
-DENSE_NORM_LIMIT = 4096  # above this dim a general norm uses power iteration
+MAX_DIM = 4096     # allocation cap: d**n may not exceed this
 
 
 class MacrofieldError(Exception):
@@ -69,15 +69,10 @@ class SiteSpace:
             raise MismatchedLocalDimension(f"one-site dimension must be >= 2, got {self.d}")
         if self.n < 1:
             raise SiteOutOfRange(f"site count must be >= 1, got {self.n}")
-        # multiply up instead of forming d**n, which for a huge n is itself a
-        # huge integer; the loop stops after at most log_d(MAX_DIM) + 1 steps
-        dim = 1
-        for _ in range(self.n):
-            dim *= self.d
-            if dim > MAX_DIM:
-                raise DimensionOverflow(
-                    f"d**n = {self.d}**{self.n} exceeds the dense cap {MAX_DIM}"
-                )
+        # d >= 2, so any n past log2(MAX_DIM) overflows; d**n is formed only
+        # below that, since for a huge n it is itself a huge integer
+        if self.n > MAX_DIM.bit_length() or self.d**self.n > MAX_DIM:
+            raise DimensionOverflow(f"d**n = {self.d}**{self.n} exceeds the dense cap {MAX_DIM}")
 
     @property
     def dim(self) -> int:
@@ -217,36 +212,13 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y
 
 
-def _power_norm(e: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    # power iteration on A^dagger A; fixed-seed start for determinism
-    dim = e.shape[0]
-    rng = np.random.Generator(np.random.Philox(0x5EED))
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    adj = e.conj().T
-    lam = 0.0
-    for _ in range(max_iter):
-        u = adj @ (e @ v)
-        norm_u = float(np.linalg.norm(u))
-        if norm_u == 0.0:
-            return 0.0
-        if abs(norm_u - lam) <= tol * max(1.0, norm_u):
-            return float(np.sqrt(norm_u))
-        lam = norm_u
-        v = u / norm_u
-    raise EigFailed(f"power iteration did not converge in {max_iter} steps")
-
-
 def spectral_norm(a: Operator) -> float:
     """Largest singular value.
 
     Hermitian input reduces to max |eigenvalue|; anti-Hermitian input to the
-    Hermitian problem for iA; general input goes through A^dagger A.  Above
-    DENSE_NORM_LIMIT the A^dagger A route switches to power iteration
-    (tolerance 1e-10, at most 10000 steps).
+    Hermitian problem for iA; general input goes through A^dagger A.
     """
     e = a.entries
-    dim = a.dim
     if _is_diagonal(e):
         return float(np.abs(np.diagonal(e)).max())
     try:
@@ -254,16 +226,12 @@ def spectral_norm(a: Operator) -> float:
             r = e.real
             if np.abs(r - r.T).max() <= TOL_HERM:
                 return float(np.abs(np.linalg.eigvalsh(r)).max())
-            if dim > DENSE_NORM_LIMIT:
-                return _power_norm(e)
             g = np.ascontiguousarray(r).T @ np.ascontiguousarray(r)
             return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
         if np.abs(e - e.conj().T).max() <= TOL_HERM:
             return float(np.abs(np.linalg.eigvalsh(e)).max())
         if np.abs(e + e.conj().T).max() <= TOL_HERM:
             return float(np.abs(np.linalg.eigvalsh(1j * e)).max())
-        if dim > DENSE_NORM_LIMIT:
-            return _power_norm(e)
         g = e.conj().T @ e
         return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
     except np.linalg.LinAlgError as err:

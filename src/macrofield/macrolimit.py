@@ -3,10 +3,11 @@ product-state supremum, frequency concentration in spectral windows, and the
 constancy of frequency expectations on product states.
 
 Every limit claim is probed by a finite-n sweep; closed forms live in the
-tests, never here, so the two routes stay independent.  Past the dense cap,
-commutator and norm sweeps of qubit sections of order <= 2 run on total-spin
-blocks (`sections.spin_blocks`), and frequency statistics on the n + 1
-weights of the outcome count; other sections are materialized densely.
+tests, never here, so the two routes stay independent.  Commutator and norm
+sweeps of qubit sections of order <= 2 run on total-spin blocks
+(`sections.spin_blocks`, up to `sections.MAX_BLOCK_SITES`), and frequency
+statistics on the n + 1 weights of the outcome count (up to MAX_COUNT_SITES);
+other sections are materialized densely, up to the dense cap.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from ._optim import OptimizerFailed, maximize_on_ball
 from .definetti import _coords, _correlate
 from .linalg import (
+    DimensionOverflow,
     MacrofieldError,
     Operator,
     SiteSpace,
@@ -38,6 +40,7 @@ from .sections import (
 from .states import PureState
 
 __all__ = [
+    "MAX_COUNT_SITES",
     "DecayRecord",
     "NormGapRecord",
     "WindowMassRecord",
@@ -52,6 +55,9 @@ __all__ = [
     "born_curve",
     "deviation_norm",
 ]
+
+# site cap of the count route; a sweep up to it takes about 30 s
+MAX_COUNT_SITES = 50_000
 
 
 class BadWindow(MacrofieldError):
@@ -183,11 +189,14 @@ def norm_gap(section: SymmetricSection, n_list) -> list[NormGapRecord]:
 
 
 def _count_laws(psi: PureState, spec: FrequencySpec, ns: list[int]):
-    """Law of the outcome count k = 0..n in psi^(x)n, for each n of the ascending list."""
+    """Law of the outcome count k = 0..n in psi^(x)n, for each n of the
+    ascending list, which may not exceed MAX_COUNT_SITES."""
     if psi.d != spec.d:
         raise BadWindow(f"state dimension {psi.d} does not match spec {spec.d}")
     if ns and ns[0] < 1:
         raise BadOrder(f"need n >= 1, got {ns[0]}")
+    if ns and ns[-1] > MAX_COUNT_SITES:
+        raise DimensionOverflow(f"n = {ns[-1]} exceeds the count cap {MAX_COUNT_SITES}")
     q = min(max(_own_mean(psi, spec), 0.0), 1.0)
     w = np.ones(1)
     for n in ns:

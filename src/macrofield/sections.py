@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg import (
     PAULI,
+    DimensionOverflow,
     MacrofieldError,
     Operator,
     SiteSpace,
@@ -48,6 +49,8 @@ class DecayBoundViolated(MacrofieldError):
 # direct permutation averaging is n! work; beyond this an extension route is required
 DEFAULT_SYMMETRIZE_ORDER = 8
 DEFAULT_SEED_ORDER = 3
+# site cap of the total-spin block route; a sweep up to it takes one to two minutes
+MAX_BLOCK_SITES = 256
 
 
 def symmetrize(a: Operator) -> Operator:
@@ -57,8 +60,6 @@ def symmetrize(a: Operator) -> Operator:
     permutation matrices are built; still n! terms, hence the order cap.
     """
     n = a.space.n
-    if n > 20:
-        raise OrderTooLarge(f"{n}! does not fit in 64-bit arithmetic")
     if n > DEFAULT_SYMMETRIZE_ORDER:
         raise OrderTooLarge(f"permutation sum capped at order {DEFAULT_SYMMETRIZE_ORDER}, got {n}")
     if n == 1:
@@ -235,11 +236,14 @@ def spin_blocks(section: SymmetricSection | PerturbedSection, n: int) -> list[np
     blocks carry its norms and commutators; multiplicities are not needed for
     those.  Only qubit symmetric sections of order <= 2 have the form here;
     PerturbedSection, d > 2 and m >= 3 get None and take the dense route.
+    n may not exceed MAX_BLOCK_SITES.
     """
     if not (isinstance(section, SymmetricSection) and section.d == 2 and section.m <= 2):
         return None
     if n < section.m:
         raise BadOrder(f"need n >= m >= 1, got n={n}, m={section.m}")
+    if n > MAX_BLOCK_SITES:
+        raise DimensionOverflow(f"n = {n} exceeds the block cap {MAX_BLOCK_SITES}")
     if section.m == 1:
         return [_spin_sum(section.seed.entries, n, p) / n for p in _spin_paulis(n)]
     terms = _pair_terms(symmetrize(section.seed).entries, 2)

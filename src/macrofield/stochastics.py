@@ -27,6 +27,7 @@ from .states import PureState
 __all__ = [
     "MAX_CONSTRAINTS",
     "MAX_ENUM_SITES",
+    "MAX_LEAVES",
     "MAX_TRIALS",
     "SiteBeyondHorizon",
     "TooManySites",
@@ -55,6 +56,9 @@ MAX_CONSTRAINTS = 16
 MAX_ENUM_SITES = 16
 # cap on strong-law trials: 10**7 of them take about 1 s and 240 MB
 MAX_TRIALS = 10**7
+# cap on leaves per random expression: a tree of them is at most about twice
+# as deep, which keeps the recursive indicator walk under Python's recursion limit
+MAX_LEAVES = 256
 
 
 class SiteBeyondHorizon(MacrofieldError):
@@ -149,9 +153,12 @@ def involved_sites(expr: BooleanExpr) -> tuple[int, ...]:
 
 
 def random_expression(rng: np.random.Generator, horizon: int, max_leaves: int) -> BooleanExpr:
-    """Seeded random expression with 1..max_leaves one-bit leaves, sites <= horizon."""
+    """Seeded random expression with 1..max_leaves one-bit leaves, sites <= horizon;
+    max_leaves may not exceed MAX_LEAVES, checked before any draw."""
     if horizon < 1 or max_leaves < 1:
         raise ValueError("horizon and max_leaves must be >= 1")
+    if max_leaves > MAX_LEAVES:
+        raise DimensionOverflow(f"{max_leaves} leaves exceed the cap {MAX_LEAVES}")
     count = int(rng.integers(1, max_leaves + 1))
     nodes: list[BooleanExpr] = [
         cylinder(int(rng.integers(1, horizon + 1)), int(rng.integers(0, 2)))

@@ -13,9 +13,12 @@ import itertools
 import math
 import os
 import pathlib
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.optimize import minimize
 
 from macrofield._optim import ball_starts
@@ -164,3 +167,21 @@ def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     return env
+
+
+def assert_raises_before_allocating(exc, fn, *args) -> None:
+    """fn(*args) raises exc at once, with at most 64 KiB traced at the peak.
+
+    numpy reports its array buffers to tracemalloc, so an array of the
+    refused size, or a sweep run up to it, would show here.
+    """
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(exc):
+            fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 16, f"{peak} bytes traced before {exc.__name__}"
+    assert time.perf_counter() - started < 1.0

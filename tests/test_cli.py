@@ -19,13 +19,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import binom_window_mass, src_env
+from conftest import assert_raises_before_allocating, binom_window_mass, src_env
 
 import macrofield.cli as cli
 from macrofield import definetti, sections
 from macrofield._optim import OptimizerFailed
-from macrofield.definetti import MERGE_DELTA
+from macrofield.definetti import MAX_CHART_SITES, MERGE_DELTA
 from macrofield.linalg import EigFailed
+from macrofield.macrolimit import MAX_COUNT_SITES
+from macrofield.sections import MAX_BLOCK_SITES
+from macrofield.stochastics import MAX_LEAVES
 from macrofield.states import density_to_bloch
 
 
@@ -130,6 +133,31 @@ def test_boolean_check_past_the_dense_cap():
     assert [r["sites"] for r in report["records"]] == [10**6] * 8
     assert report["summary"]["max_abs_error"] <= 1e-10
     assert report["summary"]["ok"] is True
+
+
+def _report(capsys, *argv: str) -> dict:
+    assert cli.run([*argv, "--no-timestamp"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_routes_match_closed_forms_far_past_the_dense_cap(capsys):
+    # one n per route, against the 2/n commutator law, the Born weight 0.6**2,
+    # the mixture's limit 0.5 * 0.6 * 0.8 and an exact two-atom truth
+    report = _report(capsys, "commutator-decay", "--seed1", "X", "--seed2", "Z", "--n", "256")
+    assert abs(report["records"][0]["scaled"] - 2.0) <= 1e-8
+    report = _report(capsys, "born-converge", "--psi", "0.8,0.6", "--n", "20000")
+    assert abs(report["records"][0]["value"] - 0.36) <= 1e-10
+    for atoms, limit in (("0.5:0,0,1;0.5:1,0,0", 0.0), ("0.5:0,0,1;0.5:0.6,0,0.8", 0.24)):
+        summary = _report(
+            capsys, "field-check", "--atoms", atoms, "--section", "sym2(X,Z)", "--n", "256"
+        )["summary"]
+        assert summary["ok"] is True
+        assert abs(summary["limit_value"] - limit) <= 1e-12
+    truth = "0.3:0.6,0,0.8;0.7:0,-0.6,-0.8"
+    report = _report(capsys, "definetti-fit", "--atoms", truth, "--sites", "24")
+    assert report["summary"]["residual"] <= 1e-10
+    got = sorted((r["weight"], r["x"], r["y"], r["z"]) for r in report["records"])
+    np.testing.assert_allclose(got, [(0.3, 0.6, 0.0, 0.8), (0.7, 0.0, -0.6, -0.8)], atol=1e-8)
 
 
 def test_definetti_fit_round_trip():
@@ -372,9 +400,9 @@ def test_timestamp_appears_by_default():
         ("born-converge", "--psi", "0.8,0.6", "--lambda", "7", "--n", "1..2"),
         ("definetti-fit", "--atoms", "0.9:0,0,1;0.2:1,0,0"),
         ("definetti-fit", "--atoms", "1.0:0,0,2"),
-        # the fit runs on the chart, but its site count keeps the dense cap
+        # the fit's site count is capped by its chart
         ("definetti-fit", "--atoms", "1.0:0,0,1", "--sites", "0"),
-        ("definetti-fit", "--atoms", "1.0:0,0,1", "--sites", "15"),
+        ("definetti-fit", "--atoms", "1.0:0,0,1", "--sites", str(MAX_CHART_SITES + 1)),
         ("slln-mc", "--p", "1.5", "--horizon", "10", "--trials", "5", "--delta", "0.1"),
         ("slln-mc", "--p", "0.3", "--horizon", "10", "--trials", "5",
          "--delta", "0.1", "--rng-seed", "-1"),
@@ -402,6 +430,9 @@ def test_timestamp_appears_by_default():
         # each subcommand takes only the flags it reads
         ("norm-gap", "--section", "X", "--n", "2..4", "--tol", "1e-3"),
         ("born-converge", "--psi", "0.8,0.6", "--rng-seed", "1"),
+        # both size inputs of boolean-check are capped
+        ("boolean-check", "--max-leaves", str(MAX_LEAVES + 1)),
+        ("boolean-check", "--instances", str(cli.MAX_INSTANCES + 1)),
     ],
 )
 def test_bad_input_exits_2(argv):
@@ -441,44 +472,98 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert "error:" in err
 
 
-def test_site_count_past_the_dense_cap_exits_2_at_once():
+def test_site_count_past_the_count_cap_exits_2_at_once():
     started = time.perf_counter()
-    proc = run_cli("born-converge", "--psi", "0.8,0.6", "--n", "1000000000")
+    proc = run_cli("born-converge", "--psi", "0.8,0.6", "--n", "1..1000000000")
     elapsed = time.perf_counter() - started
     assert proc.returncode == 2
-    assert "dense cap" in proc.stderr
-    # interpreter start and imports dominate; forming 2**(10**9) took seconds
+    assert f"1..{MAX_COUNT_SITES}" in proc.stderr
+    # interpreter start and imports dominate; a list of 10**9 counts takes tens of GB
     assert elapsed < 5.0
 
 
-def test_site_count_past_the_qutrit_cap_exits_2_before_the_sweep(monkeypatch):
-    # the cap depends on the one-site dimension: 8 sites at d = 3
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("the sweep ran before the site list was checked")
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the route ran before its cap was checked")
 
-    monkeypatch.setattr(cli, "born_curve", must_not_run)
-    monkeypatch.setattr(cli, "window_mass", must_not_run)
-    for command in ("born-converge", "window-mass"):
-        assert cli.run([command, "--psi", "1,1,1", "--n", "1..14"]) == 2
+
+@pytest.mark.parametrize(
+    "argv, entries",
+    [
+        (("born-converge", "--psi", "0.8,0.6", "--n", f"1..{MAX_COUNT_SITES + 1}"),
+         ("born_curve",)),
+        # the count route's cap holds for any one-site dimension
+        (("born-converge", "--psi", "1,1,1", "--n", f"{MAX_COUNT_SITES + 1}"), ("born_curve",)),
+        (("window-mass", "--psi", "1,1,1", "--n", f"1..{MAX_COUNT_SITES + 1}"),
+         ("window_mass",)),
+        (("commutator-decay", "--seed1", "X", "--seed2", "Z", "--n",
+          f"2..{MAX_BLOCK_SITES + 1}"), ("commutator_decay",)),
+        (("norm-gap", "--section", "sym2(X,Z)", "--n", f"{MAX_BLOCK_SITES + 1}"), ("norm_gap",)),
+        (("field-check", "--atoms", "1.0:0,0,1", "--section", "X", "--n",
+          f"2..{MAX_BLOCK_SITES + 1}"), ("field_of_states_check",)),
+        (("definetti-fit", "--atoms", "1.0:0,0,1", "--sites", f"{MAX_CHART_SITES + 1}"),
+         ("recover_mixture",)),
+        (("boolean-check", "--max-leaves", f"{MAX_LEAVES + 1}"),
+         ("quantum_classical_agreement",)),
+        (("boolean-check", "--instances", f"{cli.MAX_INSTANCES + 1}"),
+         ("random_expression", "quantum_classical_agreement")),
+    ],
+    ids=[
+        "born-converge", "born-converge-qutrit", "window-mass-qutrit", "commutator-decay",
+        "norm-gap", "field-check", "definetti-fit", "max-leaves", "instances",
+    ],
+)
+def test_input_one_past_a_route_cap_exits_2_before_the_route_runs(
+    argv, entries, monkeypatch, capsys
+):
+    for name in entries:
+        monkeypatch.setattr(cli, name, _must_not_run)
+    started = time.perf_counter()
+    assert cli.run(list(argv)) == 2
+    assert time.perf_counter() - started < 5.0
+    assert "cap" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- n-list grammar
 
 _SITES = st.integers(min_value=1, max_value=14)
+_CAPS = st.sampled_from([MAX_CHART_SITES, MAX_BLOCK_SITES, MAX_COUNT_SITES])
 
 
-@given(_SITES, _SITES)
-def test_n_range_equals_its_comma_list(a, b):
-    lo, hi = min(a, b), max(a, b)
-    comma = ",".join(str(n) for n in range(lo, hi + 1))
-    assert cli._parse_n_list(f"{lo}..{hi}") == cli._parse_n_list(comma)
+def _near_ends(cap: int):
+    """Site counts near 1 or near a route cap, on either side of it."""
+    return st.one_of(st.integers(-2, 14), st.integers(cap - 3, cap + 3))
 
 
-@given(st.lists(_SITES, min_size=1, max_size=20))
-def test_n_comma_list_is_strictly_increasing(ns):
-    vals = cli._parse_n_list(",".join(str(n) for n in ns))
+@given(_CAPS, st.data())
+def test_n_range_equals_its_comma_list(cap, data):
+    hi = data.draw(_near_ends(cap))
+    lo = data.draw(st.integers(hi - 12, hi))
+    texts = (f"{lo}..{hi}", ",".join(str(n) for n in range(lo, hi + 1)))
+    if 1 <= lo and hi <= cap:
+        want = list(range(lo, hi + 1))
+        assert cli._parse_n_list(texts[0], cap) == cli._parse_n_list(texts[1], cap) == want
+    else:
+        for text in texts:
+            with pytest.raises(cli.BadFlag, match=f"1..{cap}"):
+                cli._parse_n_list(text, cap)
+
+
+@given(_CAPS, st.data())
+def test_n_comma_list_is_strictly_increasing(cap, data):
+    ns = data.draw(st.lists(_near_ends(cap), min_size=1, max_size=20))
+    text = ",".join(str(n) for n in ns)
+    if not 1 <= min(ns) <= max(ns) <= cap:
+        with pytest.raises(cli.BadFlag, match=f"1..{cap}"):
+            cli._parse_n_list(text, cap)
+        return
+    vals = cli._parse_n_list(text, cap)
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert set(vals) == set(ns)
+
+
+def test_huge_range_is_refused_before_it_is_built():
+    huge = "1..1000000000"
+    assert_raises_before_allocating(cli.BadFlag, cli._parse_n_list, huge, MAX_COUNT_SITES)
 
 
 _MALFORMED = st.one_of(
@@ -500,7 +585,7 @@ _MALFORMED = st.one_of(
 @given(_MALFORMED)
 def test_n_list_rejects_malformed_text(text):
     with pytest.raises(cli.BadFlag):
-        cli._parse_n_list(text)
+        cli._parse_n_list(text, MAX_BLOCK_SITES)
 
 
 # ------------------------------------------------------- atom grammar

@@ -25,6 +25,7 @@ from conftest import (
     SX,
     SY,
     SZ,
+    assert_raises_before_allocating,
     kron_chain,
     naive_symmetrize,
     nelder_mead_sup,
@@ -33,6 +34,7 @@ from conftest import (
 from macrofield import definetti
 from macrofield.cli import _LETTERS, _parse_section
 from macrofield.definetti import (
+    MAX_CHART_SITES,
     MERGE_DELTA,
     DiscreteMixture,
     FitResult,
@@ -50,7 +52,7 @@ from macrofield.definetti import (
     mixture_state,
     recover_mixture,
 )
-from macrofield.linalg import Operator, SiteSpace, SpaceMismatch, kron_power
+from macrofield.linalg import DimensionOverflow, Operator, SiteSpace, SpaceMismatch, kron_power
 from macrofield.sections import BadOrder, PerturbedSection, SymmetricSection
 from macrofield.states import (
     BlochVector,
@@ -216,12 +218,18 @@ def test_chart_has_one_coordinate_per_label_multiset():
 
 
 @pytest.mark.parametrize("n", [36, 40])
-def test_chart_norm_matches_the_closed_form_past_35_sites(n):
+def test_chart_norm_matches_the_closed_form_past_35_sites(n, monkeypatch):
     # from n = 36 on, n!/beta! passes 2**64; the Frobenius norm of rho(b)^(x)n
-    # is tr(rho^2)^(n/2), with tr(rho^2) = (1 + |b|^2)/2
+    # is tr(rho^2)^(n/2), with tr(rho^2) = (1 + |b|^2)/2. The arithmetic does
+    # not depend on the chart's site cap, which is lifted here, and the classes
+    # built past it leave the cache afterwards
+    monkeypatch.setattr(definetti, "MAX_CHART_SITES", n)
     rng = np.random.default_rng(n)
     blochs = np.array([ball_point(rng, pure) for pure in (True, False, False)])
-    got = (_powers(blochs, n) ** 2).sum(axis=1)
+    try:
+        got = (_powers(blochs, n) ** 2).sum(axis=1)
+    finally:
+        definetti._classes.cache_clear()
     want = ((1.0 + (blochs**2).sum(axis=1)) / 2.0) ** n
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -594,6 +602,13 @@ def test_fit_rejects_bad_inputs():
     skew = NSiteState(SiteSpace(2, 2), np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
     with pytest.raises(NotSymmetric):
         fit_mixture(skew, 2)
+
+
+def test_chart_refuses_one_past_its_cap():
+    mix = DiscreteMixture(((0.5, ZERO), (0.5, bloch_atom(1.0, 0.0, 0.0))))
+    n = MAX_CHART_SITES + 1
+    assert_raises_before_allocating(DimensionOverflow, recover_mixture, mix, n, 2)
+    assert_raises_before_allocating(DimensionOverflow, _powers, np.zeros((1, 3)), n)
 
 
 def test_fit_result_invariants_are_enforced():

@@ -13,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import SX, SY, SZ, I2, P1, kron_chain, naive_embed, naive_perm_matrix, rand_hermitian
 
-from macrofield import linalg
 from macrofield.linalg import (
     MAX_DIM,
     TOL_EIG,
@@ -61,8 +60,14 @@ def test_site_space_rejects_bad_counts():
     with pytest.raises(MismatchedLocalDimension):
         SiteSpace(1, 3)
     with pytest.raises(DimensionOverflow):
-        SiteSpace(2, 15)
-    assert SiteSpace(2, 14).dim == MAX_DIM
+        SiteSpace(2, 13)
+    assert SiteSpace(2, 12).dim == MAX_DIM
+    # the cap binds on d**n whichever factor is large
+    for d, n in ((3, 8), (65, 2), (MAX_DIM + 1, 1)):
+        with pytest.raises(DimensionOverflow):
+            SiteSpace(d, n)
+    assert SiteSpace(3, 7).dim == 2187
+    assert SiteSpace(64, 2).dim == SiteSpace(MAX_DIM, 1).dim == MAX_DIM
 
 
 def test_site_space_cap_check_is_bounded():
@@ -270,16 +275,6 @@ def test_norm_submultiplicative_random():
         nb = spectral_norm(op_any(b))
         nab = spectral_norm(op_any(a @ b))
         assert nab <= na * nb + 10 * TOL_EIG * max(1.0, na * nb)
-
-
-def test_norm_power_iteration_route_agrees(monkeypatch):
-    rng = np.random.default_rng(47)
-    a = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-    o = Operator(SiteSpace(2, 7), a)
-    dense = spectral_norm(o)
-    monkeypatch.setattr(linalg, "DENSE_NORM_LIMIT", 32)
-    powered = spectral_norm(o)
-    assert abs(dense - powered) < 1e-8 * max(1.0, dense)
 
 
 def test_norm_diagonal_complex_entries():

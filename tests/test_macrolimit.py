@@ -23,14 +23,18 @@ from conftest import (
     SX,
     SY,
     SZ,
+    assert_raises_before_allocating,
     binom_window_mass,
     exact_binom_window_mass,
     haar_qubit,
     kron_chain,
     nelder_mead_sup,
 )
-from macrofield.linalg import Operator, SiteSpace, commutator, site_sum, spectral_norm
+from macrofield.linalg import (
+    DimensionOverflow, Operator, SiteSpace, commutator, site_sum, spectral_norm
+)
 from macrofield.macrolimit import (
+    MAX_COUNT_SITES,
     BadWindow,
     DecayRecord,
     OptimizerFailed,
@@ -44,6 +48,7 @@ from macrofield.macrolimit import (
     window_projection,
 )
 from macrofield.sections import (
+    MAX_BLOCK_SITES,
     BadOrder,
     FrequencySpec,
     PerturbedSection,
@@ -51,7 +56,7 @@ from macrofield.sections import (
     frequency_operator,
     materialize,
 )
-from macrofield.states import PureState, expect, power_vector, pure_power
+from macrofield.states import PureState, expect, pure_power
 
 
 def op1(arr) -> Operator:
@@ -436,13 +441,13 @@ def test_frequency_routes_match_dense_eig_oracle(seed, kind, n, eps):
 def _vector_route(psi: PureState, spec: FrequencySpec, n: int):
     """Frequency per basis index of the n-fold product of the projector's
     eigenbasis u (the Kronecker sum of its eigenvalues over n), and the
-    weight |power_vector(u^dagger psi)|^2 of psi^(x)n on it."""
+    weight |(u^dagger psi)^(x)n|^2 of psi^(x)n on it."""
     w, u = np.linalg.eigh(spec.projector.entries)
     freq = w
     for _ in range(n - 1):
         freq = np.add.outer(freq, w).reshape(-1)
-    rotated = PureState(spec.d, u.conj().T @ psi.amplitudes)
-    return freq / n, np.abs(power_vector(rotated, n)) ** 2
+    rotated = (u.conj().T @ psi.amplitudes)[:, None]
+    return freq / n, np.abs(kron_chain(*[rotated] * n)[:, 0]) ** 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -497,3 +502,15 @@ def test_count_route_reaches_ten_thousand_sites():
     want = exact_binom_window_mass(n, Fraction(9, 25), Fraction(1, 100))
     [rec] = window_mass(psi, P1_SPEC, [n], 0.01)
     assert abs(rec.mass - want) <= 1e-12
+
+
+def test_count_and_block_routes_refuse_one_past_their_caps():
+    # the count law is checked against the largest n before any n of the sweep
+    n = MAX_COUNT_SITES + 1
+    psi = PureState(3, np.array([0.6, 0.0, 0.8]))
+    spec = FrequencySpec(3, Operator(SiteSpace(3, 1), np.diag([0.0, 0.0, 1.0])))
+    assert_raises_before_allocating(DimensionOverflow, born_curve, psi, spec, [1, n])
+    assert_raises_before_allocating(DimensionOverflow, window_mass, psi, spec, [1, n], 0.1)
+    assert_raises_before_allocating(DimensionOverflow, deviation_norm, psi, spec, n)
+    x, z, past = avg_section(SX), avg_section(SZ), [MAX_BLOCK_SITES + 1]
+    assert_raises_before_allocating(DimensionOverflow, commutator_decay, x, z, past)

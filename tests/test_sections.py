@@ -10,10 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, SZ, I2, P1, kron_chain, naive_embed, naive_symmetrize, rand_hermitian
+from conftest import (
+    SX, SZ, I2, P1, assert_raises_before_allocating, kron_chain, naive_embed, naive_symmetrize,
+    rand_hermitian,
+)
 
 from macrofield import sections
 from macrofield.linalg import (
+    DimensionOverflow,
     Operator,
     SiteSpace,
     SpaceMismatch,
@@ -24,6 +28,7 @@ from macrofield.linalg import (
     spectral_norm,
 )
 from macrofield.sections import (
+    MAX_BLOCK_SITES,
     BadOrder,
     DecayBoundViolated,
     FrequencySpec,
@@ -344,3 +349,15 @@ def test_spin_blocks_only_for_qubit_sections_of_order_two_or_less():
     assert spin_blocks(SymmetricSection(2, 3, op(np.eye(8), n=3)), 3) is None
     with pytest.raises(BadOrder):
         spin_blocks(SymmetricSection(2, 2, op(np.eye(4), n=2)), 1)
+
+
+def test_block_and_dense_routes_refuse_one_past_their_caps():
+    for seed in (op(SZ), op(np.kron(SX, SZ), n=2)):
+        section = SymmetricSection(2, seed.space.n, seed)
+        assert_raises_before_allocating(
+            DimensionOverflow, spin_blocks, section, MAX_BLOCK_SITES + 1
+        )
+    # sections without blocks fall back to dense matrices, capped at 4096 rows
+    qutrit = SymmetricSection(3, 1, op(np.eye(3), d=3))
+    assert_raises_before_allocating(DimensionOverflow, materialize, qutrit, 8)
+    assert_raises_before_allocating(DimensionOverflow, j_nm, 13, 1, op(SZ))

@@ -29,6 +29,7 @@ from macrofield.linalg import (
 from macrofield.states import PureState, power_vector
 from macrofield.stochastics import (
     MAX_ENUM_SITES,
+    MAX_LEAVES,
     And,
     BernoulliSpec,
     CylinderEvent,
@@ -43,6 +44,7 @@ from macrofield.stochastics import (
     cylinder_to_projection,
     hoeffding_bound,
     involved_sites,
+    leaves,
     quantum_classical_agreement,
     random_expression,
     sample_sequences,
@@ -318,6 +320,29 @@ def test_agreement_past_the_dense_cap():
         expr = random_expression(rng, n, 6)
         quantum, classical = quantum_classical_agreement(psi, expr, n)
         assert abs(quantum - classical) <= 1e-12
+
+
+def test_leaves_past_the_cap_are_refused_before_any_draw():
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionOverflow):
+        random_expression(rng, 6, MAX_LEAVES + 1)
+    assert rng.bit_generator.state == state
+
+
+def test_deepest_expression_at_the_leaf_cap_is_walked():
+    # a chain with a NOT over every join is the deepest tree of MAX_LEAVES
+    # leaves that random_expression can make; the recursive walk must take it
+    expr = cylinder(1, 1)
+    for k in range(1, MAX_LEAVES):
+        leaf = cylinder(k % 4 + 1, k % 3 % 2)
+        expr = Not(And(expr, leaf) if k % 2 else Or(expr, leaf))
+    expr = Not(expr)
+    assert sum(1 for _ in leaves(expr)) == MAX_LEAVES
+    psi = PureState(2, np.array([0.8, 0.6]))
+    quantum, classical = quantum_classical_agreement(psi, expr, 4)
+    assert abs(quantum - classical) <= 1e-12
+    assert abs(classical - naive_event_probability(0.36, expr)) <= 1e-12
 
 
 def test_agreement_checks_sites_before_allocating(monkeypatch):
