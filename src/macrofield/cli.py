@@ -17,7 +17,9 @@ import numpy as np
 
 from . import __version__
 from ._optim import OptimizerFailed
-from .definetti import MAX_CHART_SITES, DiscreteMixture, field_of_states_check, recover_mixture
+from .definetti import (
+    MAX_ATOMS, MAX_CHART_SITES, DiscreteMixture, field_of_states_check, recover_mixture
+)
 from .linalg import PAULI, EigFailed, MacrofieldError, Operator, SiteSpace
 from .macrolimit import (
     MAX_COUNT_SITES, born_curve, commutator_decay, fit_decay_exponent, norm_gap, window_mass
@@ -25,6 +27,7 @@ from .macrolimit import (
 from .sections import MAX_BLOCK_SITES, FrequencySpec, SymmetricSection, frequency_section
 from .states import BlochVector, PureState, bloch_to_density, density_to_bloch
 from .stochastics import (
+    MAX_ENUM_SITES,
     BernoulliSpec,
     leaves,
     quantum_classical_agreement,
@@ -50,6 +53,11 @@ class BadFlag(MacrofieldError):
 
 
 MAX_INSTANCES = 10**4  # boolean-check instances per run
+# boolean-check work cap on instances x tree nodes x assignments of the
+# involved sites, of which there are at most the leaves, the sites and
+# MAX_ENUM_SITES: 256 instances of up to 256 leaves on 16 sites, the most
+# it admits there, take about 52 s
+MAX_BOOLEAN_WORK = 2**33
 
 # the one-site letters of the descriptor grammar; the identity is not one
 _LETTERS = ("X", "Y", "Z", "P0", "P1")
@@ -149,6 +157,8 @@ def _parse_atoms(text: str) -> tuple[DiscreteMixture, str]:
         pairs.append((weight, coords))
     if not pairs:
         raise BadFlag("no atoms given")
+    if len(pairs) > MAX_ATOMS:
+        raise BadFlag(f"{len(pairs)} atoms exceed the cap {MAX_ATOMS}")
     mix = DiscreteMixture(tuple((w, bloch_to_density(BlochVector(*b))) for w, b in pairs))
     canon = ";".join(f"{w!r}:{x!r},{y!r},{z!r}" for w, (x, y, z) in pairs)
     return mix, canon
@@ -275,6 +285,10 @@ def _cmd_slln_mc(args):
 def _cmd_boolean_check(args):
     if not 1 <= args.instances <= MAX_INSTANCES:
         raise BadFlag(f"instances must lie in 1..{MAX_INSTANCES} (the cap), got {args.instances}")
+    nodes = 2 * args.max_leaves - 1
+    work = args.instances * nodes * 2 ** min(args.sites, args.max_leaves, MAX_ENUM_SITES)
+    if work > MAX_BOOLEAN_WORK:
+        raise BadFlag(f"instances x nodes x assignments {work} exceed the cap {MAX_BOOLEAN_WORK}")
     rng = np.random.default_rng(args.rng_seed)
     records = []
     for idx in range(args.instances):
@@ -308,6 +322,8 @@ def _cmd_definetti_fit(args):
     mix, canon = _parse_atoms(args.atoms)
     if not 1 <= args.sites <= MAX_CHART_SITES:
         raise BadFlag(f"sites must lie in 1..{MAX_CHART_SITES}, the chart's cap, got {args.sites}")
+    if not 1 <= args.k_max <= MAX_ATOMS:
+        raise BadFlag(f"k-max must lie in 1..{MAX_ATOMS}, the atom cap, got {args.k_max}")
     result = recover_mixture(mix, args.sites, args.k_max)
     records = []
     for idx, (w, rho) in enumerate(result.mixture.atoms):

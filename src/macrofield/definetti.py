@@ -19,7 +19,7 @@ projected Gauss-Newton steps on the exact Jacobian of the coordinates, and
 merges atoms that collide. Low-weight atoms are retried without at the end;
 among numerically exact fits the one with fewer atoms wins.
 field_of_states_check verifies that mixture expectations of symmetric
-sections do not move with n, on total-spin blocks where there are some.
+sections do not move with n, on total-spin block diagonals where there are some.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._optim import maximize_on_ball, project_ball
-from .linalg import (
-    DimensionOverflow, MacrofieldError, Operator, SiteSpace, SpaceMismatch, kron_power
-)
-from .sections import BadOrder, SymmetricSection, spin_blocks
+from .linalg import DimensionOverflow, MacrofieldError, SiteSpace, SpaceMismatch, kron_power
+from .sections import MAX_BLOCK_SITES, BadOrder, SymmetricSection
 from .states import (
     DensityMatrix,
     NSiteState,
@@ -49,6 +47,7 @@ from .states import (
 )
 
 __all__ = [
+    "MAX_ATOMS",
     "MAX_CHART_SITES",
     "MERGE_DELTA",
     "NotSymmetric",
@@ -64,6 +63,9 @@ __all__ = [
 MERGE_DELTA = 1e-2
 # site cap of the multiset chart; a fit of two or three atoms there takes 4 to 8 s
 MAX_CHART_SITES = 32
+# atom cap of a mixture and of a fit's budget: a fit of that many atoms at
+# MAX_CHART_SITES takes about 85 s, a field check of them up to 256 sites 3 s
+MAX_ATOMS = 32
 # a round ends the fit if it gains less than this or leaves a residual below this
 IMPROVEMENT_TOL = 1e-9
 # projected-gradient steps of the simplex weight solve
@@ -85,6 +87,8 @@ class DiscreteMixture:
         if not self.atoms:
             raise ValueError("mixture needs at least one atom")
         object.__setattr__(self, "atoms", tuple((float(w), rho) for w, rho in self.atoms))
+        if len(self.atoms) > MAX_ATOMS:
+            raise DimensionOverflow(f"{len(self.atoms)} atoms exceed the cap {MAX_ATOMS}")
         ds = {rho.d for _, rho in self.atoms}
         if len(ds) != 1:
             raise SpaceMismatch(f"atoms live on different local dimensions: {sorted(ds)}")
@@ -358,6 +362,13 @@ def _round(t: np.ndarray, n: int, blochs: np.ndarray, w0: np.ndarray):
     return merged, w, r
 
 
+def _check_budget(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError(f"atom budget must be >= 1, got {k_max}")
+    if k_max > MAX_ATOMS:
+        raise DimensionOverflow(f"atom budget {k_max} exceeds the cap {MAX_ATOMS}")
+
+
 def fit_mixture(target: NSiteState, k_max: int) -> FitResult:
     """Conditional-gradient fit of a permutation-invariant qubit state by a
     small mixture of product powers.
@@ -374,8 +385,7 @@ def fit_mixture(target: NSiteState, k_max: int) -> FitResult:
     """
     if target.space.d != 2:
         raise SpaceMismatch(f"fit supports qubit sites only, got d={target.space.d}")
-    if k_max < 1:
-        raise ValueError(f"atom budget must be >= 1, got {k_max}")
+    _check_budget(k_max)
     if not is_permutation_invariant(target):
         raise NotSymmetric("target state is not permutation-invariant")
     n = target.space.n
@@ -387,8 +397,7 @@ def recover_mixture(mix: DiscreteMixture, n: int, k_max: int) -> FitResult:
     state formed in chart coordinates, sum_i w_i _powers(b_i, n), not densely."""
     if mix.d != 2 or n < 1:
         raise SpaceMismatch(f"fit needs qubit sites and n >= 1, got d={mix.d}, n={n}")
-    if k_max < 1:
-        raise ValueError(f"atom budget must be >= 1, got {k_max}")
+    _check_budget(k_max)
     blochs = np.array([_bloch_coords(rho.entries) for _, rho in mix.atoms])
     return _fit(np.array([w for w, _ in mix.atoms]) @ _powers(blochs, n), n, k_max)
 
@@ -456,33 +465,48 @@ def _fit(t: np.ndarray, n: int, k_max: int) -> FitResult:
 
 
 def _block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> float | None:
-    """tr(A_n sum_i w_i rho_i^(x)n) from the spin_blocks of the seed turned
-    into each rho's eigenbasis, or None where there are none: there rho^(x)n
-    is diagonal, l0^(n/2+m) l1^(n/2-m) at J_z = m on each of the
-    C(n, k) - C(n, k - 1) copies of the irrep J = n/2 - k, with 0^0 = 1."""
+    """tr(A_n sum_i w_i rho_i^(x)n) for qubit sections of order <= 2, else None.
+    In rho's eigenbasis rho^(x)n is l0^e l1^f (0^0 = 1) at J_z = m, e = n/2 + m,
+    f = n/2 - m, on each of the C(n, k) - C(n, k - 1) copies of J = n/2 - k, and
+    A_n has a diagonal there in closed form in the turned seed s, J and m."""
+    if section.d != 2 or section.m > 2:
+        return None
+    if n > MAX_BLOCK_SITES:
+        raise DimensionOverflow(f"n = {n} exceeds the block cap {MAX_BLOCK_SITES}")
+    # every irrep end to end in flat vectors: 2J + 1 entries each, m = J..-J
+    sizes = np.arange(n + 1, 0, -2)
+    jj = np.repeat((sizes - 1) / 2, sizes)
+    m = jj - (np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    e, f = n / 2 + m, n / 2 - m
+    # the ordered-pair sum of |01><10| or of |10><01| on the diagonal: J_+ J_- - e
+    flip = jj * (jj + 1) - m * m - n / 2
+    # logs of the exact multiplicities: as floats they overflow past n ~ 1030
+    mult = [math.comb(n, k) * size // (n - k + 1) for k, size in enumerate(sizes.tolist())]
+    log_mult = np.repeat(list(map(math.log, mult)), sizes)
     total = 0.0
     for w, rho in mix.atoms:
         lam, u = np.linalg.eigh(rho.entries)
         lam, uu = np.maximum(lam, 0.0), kron_power(u, section.m)
-        seed = Operator(section.seed.space, uu.conj().T @ section.seed.entries @ uu)
-        blocks = spin_blocks(SymmetricSection(section.d, section.m, seed), n)
-        if blocks is None:
-            return None
-        for k, block in enumerate(blocks):
-            # weights in log space: e factors l0 >= 0, n - e factors l1 >= 1/2
-            e = n - k - np.arange(len(block))
-            with np.errstate(divide="ignore"):
-                log_w = e * np.log(np.where(e > 0, lam[0], 1.0)) + (n - e) * np.log(lam[1])
-            mult = math.comb(n, k) * (n - 2 * k + 1) // (n - k + 1)
-            total += w * float(np.exp(log_w + math.log(mult)) @ block.diagonal().real)
+        s = uu.conj().T @ section.seed.entries @ uu
+        if section.m == 1:
+            diag = (s[0, 0] * e + s[1, 1] * f) / n
+        else:
+            diag = (
+                s[0, 0] * e * (e - 1) + (s[1, 1] + s[2, 2]) * e * f + s[3, 3] * f * (f - 1)
+                + (s[1, 2] + s[2, 1]) * flip
+            ) / (n * (n - 1))
+        # weights in log space: e factors l0 >= 0, f factors l1 >= 1/2
+        with np.errstate(divide="ignore"):
+            log_w = e * np.log(np.where(e > 0, lam[0], 1.0)) + f * np.log(lam[1])
+        total += w * float(np.exp(log_w + log_mult) @ diag.real)
     return total
 
 
 def field_of_states_check(
     mix: DiscreteMixture, section: SymmetricSection, n_list
 ) -> list[tuple[int, float, float]]:
-    """Per n: (n, mixture expectation of the section, on total-spin blocks
-    where spin_blocks has them and densely otherwise, the n-independent mixture
+    """Per n: (n, mixture expectation of the section, on total-spin block diagonals
+    where _block_expect has them and densely otherwise, the n-independent mixture
     average of the limit values). They agree to 1e-9 for n >= the seed order."""
     if not isinstance(section, SymmetricSection):
         raise BadOrder("field check needs a symmetric section")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TOL_EIG = 1e-10    # relative tolerance for spectral decompositions
 TOL_HERM = 1e-12   # absolute tolerance for hermiticity checks
 MAX_DIM = 4096     # allocation cap: d**n may not exceed this
 
@@ -213,12 +212,13 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(a: Operator) -> float:
-    """Largest singular value.
+    """Largest singular value: max |eigenvalue| for Hermitian input, that of
+    iA for anti-Hermitian input, and through A^dagger A otherwise."""
+    return _norm(a.entries)
 
-    Hermitian input reduces to max |eigenvalue|; anti-Hermitian input to the
-    Hermitian problem for iA; general input goes through A^dagger A.
-    """
-    e = a.entries
+
+def _norm(e: np.ndarray) -> float:
+    # spectral_norm of a bare square array, such as one total-spin block
     if _is_diagonal(e):
         return float(np.abs(np.diagonal(e)).max())
     try:

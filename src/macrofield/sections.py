@@ -6,8 +6,8 @@ The three extension routes here (one-site accumulation, pair decomposition
 with collective sums, literal subset placement) evaluate the same average and
 are cross-checked against each other and against direct permutation
 averaging in the tests.  Qubit sections of order <= 2 also have a block
-form on the total-spin irreps (`spin_blocks`), which carries their norms and
-commutators at any n without a dense matrix.
+form on the total-spin irreps (`spin_blocks`), built from the seed's entries,
+which carries their norms and commutators without a dense matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    PAULI,
     DimensionOverflow,
     MacrofieldError,
     Operator,
@@ -207,23 +206,17 @@ def materialize(section: SymmetricSection | PerturbedSection, n: int) -> Operato
     return section.materialize(n)
 
 
-def _spin_paulis(n: int):
-    """(2J_x, 2J_y, 2J_z) on each total-spin irrep of n qubits, J = n/2,
-    n/2 - 1, ..., 0 or 1/2, in the basis m = J, J - 1, ..., -J."""
-    for two_j in range(n, -1, -2):
-        j = two_j / 2
-        m = j - np.arange(two_j + 1)
-        # <m+1| J_+ |m> = sqrt(J(J+1) - m(m+1)) on the superdiagonal
-        up = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
-        yield up + up.T, -1j * (up - up.T), np.diag(2 * m)
-
-
-def _spin_sum(b: np.ndarray, n: int, paulis) -> np.ndarray:
-    # b = a0 1 + a . sigma sums over n sites to n a0 1 + a . (2J) on a block
-    a0, *a = (np.trace(PAULI[k].entries @ b) / 2 for k in "IXYZ")
-    out = n * a0 * np.eye(paulis[0].shape[0], dtype=np.complex128)
-    for coef, p in zip(a, paulis):
-        out += coef * p
+def _spin_sum(b: np.ndarray, n: int, two_j: int) -> np.ndarray:
+    """The n-site sum of the one-site qubit operator b on the irrep J = two_j / 2,
+    basis m = J..-J: tridiagonal, b00 (n/2 + m) + b11 (n/2 - m) on the diagonal,
+    b01 and b10 times <m| J_+ |m - 1> = sqrt(J(J+1) - m(m-1)) above and below."""
+    j = two_j / 2
+    m = j - np.arange(two_j + 1)
+    ladder = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1))
+    out = np.zeros((two_j + 1, two_j + 1), dtype=np.complex128)
+    out.flat[:: two_j + 2] = b[0, 0] * (n / 2 + m) + b[1, 1] * (n / 2 - m)
+    out.flat[1 :: two_j + 2] = b[0, 1] * ladder
+    out.flat[two_j + 1 :: two_j + 2] = b[1, 0] * ladder
     return out
 
 
@@ -244,13 +237,11 @@ def spin_blocks(section: SymmetricSection | PerturbedSection, n: int) -> list[np
         raise BadOrder(f"need n >= m >= 1, got n={n}, m={section.m}")
     if n > MAX_BLOCK_SITES:
         raise DimensionOverflow(f"n = {n} exceeds the block cap {MAX_BLOCK_SITES}")
+    two_js = range(n, -1, -2)
     if section.m == 1:
-        return [_spin_sum(section.seed.entries, n, p) / n for p in _spin_paulis(n)]
+        return [_spin_sum(section.seed.entries, n, t) / n for t in two_js]
     terms = _pair_terms(symmetrize(section.seed).entries, 2)
-    return [
-        _pair_sum(terms, n, lambda b, p=p: _spin_sum(b, n, p), p[0].shape[0])
-        for p in _spin_paulis(n)
-    ]
+    return [_pair_sum(terms, n, lambda b, t=t: _spin_sum(b, n, t), t + 1) for t in two_js]
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ from scipy.optimize import minimize
 from macrofield._optim import ball_starts
 from macrofield.stochastics import And, Leaf, Not, Or, involved_sites
 
+# relative tolerance of spectral decompositions and of identities built on them
+TOL_EIG = 1e-10
+
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -24,7 +24,7 @@ from conftest import assert_raises_before_allocating, binom_window_mass, src_env
 import macrofield.cli as cli
 from macrofield import definetti, sections
 from macrofield._optim import OptimizerFailed
-from macrofield.definetti import MAX_CHART_SITES, MERGE_DELTA
+from macrofield.definetti import MAX_ATOMS, MAX_CHART_SITES, MERGE_DELTA
 from macrofield.linalg import EigFailed
 from macrofield.macrolimit import MAX_COUNT_SITES
 from macrofield.sections import MAX_BLOCK_SITES
@@ -433,6 +433,8 @@ def test_timestamp_appears_by_default():
         # both size inputs of boolean-check are capped
         ("boolean-check", "--max-leaves", str(MAX_LEAVES + 1)),
         ("boolean-check", "--instances", str(cli.MAX_INSTANCES + 1)),
+        # each is admitted alone, but together they exceed the work cap
+        ("boolean-check", "--instances", "10000", "--max-leaves", "256", "--sites", "16"),
     ],
 )
 def test_bad_input_exits_2(argv):
@@ -482,6 +484,12 @@ def test_site_count_past_the_count_cap_exits_2_at_once():
     assert elapsed < 5.0
 
 
+# one atom past the cap, each at weight 1 / (MAX_ATOMS + 1) and apart on the z axis
+_ATOMS_PAST_CAP = ";".join(
+    f"{1 / (MAX_ATOMS + 1)!r}:0,0,{2 * i / MAX_ATOMS - 1!r}" for i in range(MAX_ATOMS + 1)
+)
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the route ran before its cap was checked")
 
@@ -506,10 +514,19 @@ def _must_not_run(*args, **kwargs):
          ("quantum_classical_agreement",)),
         (("boolean-check", "--instances", f"{cli.MAX_INSTANCES + 1}"),
          ("random_expression", "quantum_classical_agreement")),
+        # one instance more than the work cap admits at 256 leaves (511 nodes) on 16 sites
+        (("boolean-check", "--instances", f"{cli.MAX_BOOLEAN_WORK // (511 << 16) + 1}",
+          "--max-leaves", "256", "--sites", "16"),
+         ("random_expression", "quantum_classical_agreement")),
+        (("definetti-fit", "--atoms", "1.0:0,0,1", "--k-max", f"{MAX_ATOMS + 1}"),
+         ("recover_mixture",)),
+        (("field-check", "--atoms", _ATOMS_PAST_CAP, "--section", "X", "--n", "2..3"),
+         ("field_of_states_check",)),
     ],
     ids=[
         "born-converge", "born-converge-qutrit", "window-mass-qutrit", "commutator-decay",
         "norm-gap", "field-check", "definetti-fit", "max-leaves", "instances",
+        "boolean-work", "k-max", "atoms",
     ],
 )
 def test_input_one_past_a_route_cap_exits_2_before_the_route_runs(
@@ -521,6 +538,22 @@ def test_input_one_past_a_route_cap_exits_2_before_the_route_runs(
     assert cli.run(list(argv)) == 2
     assert time.perf_counter() - started < 5.0
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "instances, leaves",
+    # the most the work cap admits at 256 leaves on 16 sites, and 8-leaf
+    # expressions, which involve at most 8 of the 16 sites
+    [(cli.MAX_BOOLEAN_WORK // (511 << 16), 256), (cli.MAX_INSTANCES, 8)],
+)
+def test_boolean_work_cap_admits_its_edge(instances, leaves, monkeypatch, capsys):
+    def drawn(*args):
+        raise cli.BadFlag("the first expression was drawn")
+
+    monkeypatch.setattr(cli, "random_expression", drawn)
+    argv = ["--instances", str(instances), "--max-leaves", str(leaves), "--sites", "16"]
+    assert cli.run(["boolean-check", *argv]) == 2
+    assert "the first expression was drawn" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- n-list grammar

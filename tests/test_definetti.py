@@ -34,6 +34,7 @@ from conftest import (
 from macrofield import definetti
 from macrofield.cli import _LETTERS, _parse_section
 from macrofield.definetti import (
+    MAX_ATOMS,
     MAX_CHART_SITES,
     MERGE_DELTA,
     DiscreteMixture,
@@ -53,7 +54,9 @@ from macrofield.definetti import (
     recover_mixture,
 )
 from macrofield.linalg import DimensionOverflow, Operator, SiteSpace, SpaceMismatch, kron_power
-from macrofield.sections import BadOrder, PerturbedSection, SymmetricSection
+from macrofield.sections import (
+    MAX_BLOCK_SITES, BadOrder, PerturbedSection, SymmetricSection, spin_blocks
+)
 from macrofield.states import (
     BlochVector,
     DensityMatrix,
@@ -611,6 +614,16 @@ def test_chart_refuses_one_past_its_cap():
     assert_raises_before_allocating(DimensionOverflow, _powers, np.zeros((1, 3)), n)
 
 
+def test_atoms_and_atom_budget_refuse_one_past_their_cap():
+    # the count is checked before the pairwise distances, so equal atoms do
+    k = MAX_ATOMS + 1
+    assert_raises_before_allocating(DimensionOverflow, DiscreteMixture, ((1.0 / k, ZERO),) * k)
+    mix = DiscreteMixture(((0.5, ZERO), (0.5, PLUS)))
+    assert_raises_before_allocating(DimensionOverflow, recover_mixture, mix, MAX_CHART_SITES, k)
+    target = product_power(ZERO, 3)
+    assert_raises_before_allocating(DimensionOverflow, fit_mixture, target, k)
+
+
 def test_fit_result_invariants_are_enforced():
     mix = DiscreteMixture(((1.0, ZERO),))
     with pytest.raises(ValueError):
@@ -689,10 +702,12 @@ _ATOM = st.tuples(
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(_ATOM, min_size=1, max_size=3), st.integers(2, 8))
-def test_block_and_chart_routes_match_the_dense_oracle(atoms, n):
+@given(st.lists(_ATOM, min_size=1, max_size=3), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_block_and_chart_routes_match_the_dense_oracle(atoms, n, seed):
     # the field check's block expectation and the fit's chart target against
-    # the dense mixture state, for pure and mixed atoms
+    # the dense mixture state, for pure and mixed atoms; besides the grammar's
+    # descriptors, random Hermitian seeds of order 1 and 2, the second not
+    # symmetric under the swap of its two sites
     total = sum(w for _, _, w in atoms)
     spec = [(w / total, np.asarray(v) / np.linalg.norm(v) * r) for v, r, w in atoms]
     # trace distance, half the Bloch distance, clear of the merge threshold
@@ -700,14 +715,61 @@ def test_block_and_chart_routes_match_the_dense_oracle(atoms, n):
     assume(min(gaps, default=1.0) >= 2 * MERGE_DELTA)
     mix = bloch_mixture(spec)
     state = mixture_state(mix, n)
-    for text in _DESCRIPTORS:
-        section, _ = _parse_section(text)
+    rng = np.random.default_rng(seed)
+    cases = [_parse_section(text)[0] for text in _DESCRIPTORS] + [
+        SymmetricSection(2, m, Operator(SiteSpace(2, m), rand_hermitian(rng, 2**m)))
+        for m in (1, 2)
+    ]
+    seed2 = cases[-1].seed.entries
+    assert not np.allclose(seed2, seed2.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4))
+    for section in cases:
         want = expect(state, section.materialize(n))
-        assert abs(_block_expect(mix, section, n) - want) <= 1e-12
+        assert abs(_block_expect(mix, section, n) - want) <= 1e-12 * max(1.0, abs(want))
     # the target that recover_mixture hands the fit
     with mock.patch.object(definetti, "_fit", lambda t, n, k_max: t):
         chart = recover_mixture(mix, n, 1)
     np.testing.assert_allclose(chart, _coords(state.rho, n), rtol=0, atol=1e-13)
+
+
+def _spin_block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> float:
+    """The mixture expectation from the full spin_blocks of the seed turned
+    into each atom's eigenbasis: their diagonals weighted by l0^e l1^(n-e) on
+    each of the C(n, k) - C(n, k - 1) copies of the irrep J = n/2 - k."""
+    total = 0.0
+    for w, rho in mix.atoms:
+        lam, u = np.linalg.eigh(rho.entries)
+        lam, uu = np.maximum(lam, 0.0), kron_power(u, section.m)
+        seed = Operator(section.seed.space, uu.conj().T @ section.seed.entries @ uu)
+        for k, block in enumerate(spin_blocks(SymmetricSection(2, section.m, seed), n)):
+            e = n - k - np.arange(len(block))
+            mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            with np.errstate(divide="ignore"):
+                log_w = e * np.log(np.where(e > 0, lam[0], 1.0)) + (n - e) * np.log(lam[1])
+            total += w * float(np.exp(log_w + math.log(mult)) @ block.diagonal().real)
+    return total
+
+
+@pytest.mark.parametrize("n", [64, MAX_BLOCK_SITES])
+def test_block_expectation_matches_the_full_spin_blocks(n):
+    # the diagonals in closed form against the diagonals of the built blocks,
+    # on pure and mixed atoms, for seeds neither Hermitian nor swap-symmetric,
+    # whose expectations both routes give the real part of
+    rng = np.random.default_rng(n)
+    mix = bloch_mixture([(0.5, (0.0, 0.0, 1.0)), (0.3, (0.6, -0.2, 0.1)), (0.2, (-0.3, 0.4, 0.5))])
+    for m in (1, 2):
+        seed = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
+        section = SymmetricSection(2, m, Operator(SiteSpace(2, m), seed))
+        want = _spin_block_expect(mix, section, n)
+        assert abs(_block_expect(mix, section, n) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_field_check_refuses_one_past_the_block_cap():
+    mix = DiscreteMixture(((0.5, ZERO), (0.5, PLUS)))
+    pair = SymmetricSection(2, 2, Operator(SiteSpace(2, 2), kron_chain(SX, SZ)))
+    for section in (avg_section(SX), pair):
+        assert_raises_before_allocating(
+            DimensionOverflow, field_of_states_check, mix, section, [MAX_BLOCK_SITES + 1]
+        )
 
 
 def test_field_check_without_blocks_stays_dense():

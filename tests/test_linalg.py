@@ -11,11 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import SX, SY, SZ, I2, P1, kron_chain, naive_embed, naive_perm_matrix, rand_hermitian
+from conftest import (
+    SX, SY, SZ, I2, P1, TOL_EIG, kron_chain, naive_embed, naive_perm_matrix, rand_hermitian
+)
 
 from macrofield.linalg import (
     MAX_DIM,
-    TOL_EIG,
     DimensionOverflow,
     MismatchedLocalDimension,
     Operator,

@@ -504,6 +504,16 @@ def test_count_route_reaches_ten_thousand_sites():
     assert abs(rec.mass - want) <= 1e-12
 
 
+def test_count_law_holds_no_subnormal_weight():
+    # tail weights below the smallest normal double are zeroed as the walk
+    # forms them; the law keeps its n + 1 entries and its mean
+    psi = PureState(2, np.array([0.8, 0.6]))
+    [(_, w)] = macrolimit._count_laws(psi, P1_SPEC, [2000])
+    assert w.size == 2001
+    assert not np.any((w > 0.0) & (w < np.finfo(float).tiny))
+    assert abs(w @ np.arange(2001) / 2000 - 0.36) <= 1e-12
+
+
 def test_count_and_block_routes_refuse_one_past_their_caps():
     # the count law is checked against the largest n before any n of the sweep
     n = MAX_COUNT_SITES + 1

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    SX, SZ, I2, P1, assert_raises_before_allocating, kron_chain, naive_embed, naive_symmetrize,
-    rand_hermitian,
+    SX, SZ, I2, P1, TOL_EIG, assert_raises_before_allocating, kron_chain, naive_embed,
+    naive_symmetrize, rand_hermitian,
 )
 
 from macrofield import sections
@@ -21,7 +21,6 @@ from macrofield.linalg import (
     Operator,
     SiteSpace,
     SpaceMismatch,
-    TOL_EIG,
     embed_at_site,
     identity,
     permute_sites,
