@@ -6,8 +6,8 @@ def main() -> None:
 
     No command makes a BLAS call large enough to gain from OpenBLAS's thread
     pool, so BLAS runs on one thread unless the caller set
-    OPENBLAS_NUM_THREADS. The variable is read when numpy loads, which is why
-    the CLI is imported only after it is set.
+    OPENBLAS_NUM_THREADS. The variable is read when numpy loads, which only a
+    subcommand's handler does, after it is set here.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .cli import main as cli_main

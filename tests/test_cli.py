@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 from conftest import assert_raises_before_allocating, binom_window_mass, src_env
 
 import macrofield.cli as cli
-from macrofield import definetti, sections
+from macrofield import definetti, macrolimit, sections, stochastics
 from macrofield._optim import OptimizerFailed
 from macrofield.definetti import MAX_ATOMS, MAX_CHART_SITES, MERGE_DELTA
-from macrofield.linalg import EigFailed
+from macrofield.linalg import EigFailed, MacrofieldError
 from macrofield.macrolimit import MAX_COUNT_SITES
 from macrofield.sections import MAX_BLOCK_SITES
 from macrofield.stochastics import MAX_LEAVES
@@ -216,20 +216,23 @@ def test_sweeps_and_the_fit_leave_scipy_unloaded():
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-3
 
 
-# the package import, then the CLI entry point on --version, in a fresh
-# interpreter: whether numpy was loaded by the import, the BLAS thread setting
-# and thread count the entry point leaves, and any public name that does not
-# resolve to its defining submodule's object
+# the package import, then the CLI entry point on the script's arguments, in
+# a fresh interpreter: whether numpy was loaded by the import, the BLAS thread
+# setting, thread count and modules the entry point leaves, and any public
+# name that does not resolve to its defining submodule's object
 _STARTUP_SCRIPT = """
 import contextlib, importlib, inspect, io, json, os, sys
 import macrofield
 numpy_on_import = "numpy" in sys.modules
 
 from macrofield.__main__ import main
-sys.argv = ["macrofield", "--version"]
-with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-    main()
+sys.argv = ["macrofield", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.suppress(SystemExit):
+        main()
 threads = len(os.listdir("/proc/self/task"))
+loaded = sorted(name for name in sys.modules if name == "numpy" or name in (
+    "macrofield.macrolimit", "macrofield.stochastics", "macrofield.definetti"))
 
 wrong = []
 for name in macrofield.__all__[1:]:
@@ -243,32 +246,64 @@ print(json.dumps({
     "numpy_on_import": numpy_on_import,
     "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": threads,
+    "loaded": loaded,
     "wrong": wrong,
     "dir_is_all": sorted(dir(macrofield)) == sorted(macrofield.__all__),
 }))
 """
 
 
-def test_cli_entry_point_starts_serial_blas_behind_a_lazy_namespace():
-    def start(**blas):
-        env = src_env()
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        env.update(blas)
-        proc = subprocess.run(
-            [sys.executable, "-c", _STARTUP_SCRIPT],
-            capture_output=True, text=True, timeout=600, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
+def _start(*argv: str, **blas) -> dict:
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(blas)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, *argv],
+        capture_output=True, text=True, timeout=600, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
-    out = start()
+
+_SLLN = ("slln-mc", "--p", "0.3", "--horizon", "100", "--trials", "10", "--delta", "0.1")
+
+
+def test_cli_entry_point_starts_serial_blas_behind_a_lazy_namespace():
+    out = _start(*_SLLN)
     assert out["numpy_on_import"] is False
     assert out["wrong"] == []
     assert out["dir_is_all"] is True
     assert out["blas_threads"] == "1"
+    # numpy loaded, so its BLAS started the threads it was told to
+    assert "numpy" in out["loaded"]
     assert out["threads"] == 1
     # the caller's value wins
-    assert start(OPENBLAS_NUM_THREADS="2")["blas_threads"] == "2"
+    assert _start(*_SLLN, OPENBLAS_NUM_THREADS="2")["blas_threads"] == "2"
+    # a start that computes nothing loads neither numpy nor a route; the last
+    # argv is a usage error, as norm-gap requires --section
+    for argv in (("--version",), ("--help",), ("norm-gap", "--help"), ("norm-gap",)):
+        assert _start(*argv)["loaded"] == [], argv
+
+
+# the route modules each subcommand loads besides numpy; macrolimit reads the
+# chart helpers of definetti, so its commands load both
+_ROUTES = {
+    _SLLN: ("stochastics",),
+    ("boolean-check", "--instances", "2"): ("stochastics",),
+    ("definetti-fit", "--atoms", "1:0,0,1", "--sites", "2", "--k-max", "1"): ("definetti",),
+    ("field-check", "--atoms", "1:0,0,1", "--section", "X", "--n", "1..2"): ("definetti",),
+    ("born-converge", "--psi", "0.8,0.6", "--n", "1..2"): ("definetti", "macrolimit"),
+    ("window-mass", "--psi", "0.8,0.6", "--n", "1..2"): ("definetti", "macrolimit"),
+    ("commutator-decay", "--seed1", "X", "--seed2", "Z", "--n", "2..3"):
+        ("definetti", "macrolimit"),
+    ("norm-gap", "--section", "X", "--n", "2..3"): ("definetti", "macrolimit"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_ROUTES), ids=lambda argv: argv[0])
+def test_each_subcommand_loads_numpy_and_only_its_own_route(argv):
+    want = sorted(["numpy", *(f"macrofield.{name}" for name in _ROUTES[argv])])
+    assert _start(*argv)["loaded"] == want
 
 
 # the fit and the field check at n = 12 in a fresh interpreter, then its peak
@@ -316,13 +351,11 @@ def test_fit_and_field_check_stay_small_at_twelve_sites():
 def test_fit_and_field_check_build_no_dense_state(monkeypatch, capsys):
     # mixture_state and j_nm build every n-site state and section, so with
     # both failing a dense route stops at once instead of allocating 4.3 GB
-    # per matrix at n = 14; the CLI's own name for mixture_state is covered
-    # too, should it import one
+    # per matrix at n = 14
     def must_not_run(*args, **kwargs):
         raise AssertionError("a CLI route built an n-site matrix")
 
     monkeypatch.setattr(definetti, "mixture_state", must_not_run)
-    monkeypatch.setattr(cli, "mixture_state", must_not_run, raising=False)
     monkeypatch.setattr(sections, "j_nm", must_not_run)
     atoms = "0.5:0,0,1;0.5:1,0,0"
     assert cli.run(["definetti-fit", "--atoms", atoms, "--sites", "14", "--no-timestamp"]) == 0
@@ -373,6 +406,16 @@ def test_out_file_and_quiet_stdout(tmp_path):
     text = out.read_text()
     assert text.count("\n") >= 5
     assert "n,value,born,abs_error" in text
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_path_exits_2_with_one_error_line(tmp_path, target):
+    argv = ("field-check", "--atoms", "1:0,0,1", "--section", "sym2(X,Z)", "--n", "2")
+    proc = run_cli(*argv, "--out", str(tmp_path / target))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_n_list_is_normalized():
@@ -462,13 +505,13 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     def sup_fails(*args, **kwargs):
         raise OptimizerFailed("no start converged")
 
-    monkeypatch.setattr(cli, "norm_gap", sup_fails)
+    monkeypatch.setattr(macrolimit, "norm_gap", sup_fails)
     assert cli.run(["norm-gap", "--section", "avg(Z)", "--n", "2..3"]) == 3
 
     def eig_fails(*args, **kwargs):
         raise EigFailed("eigensolver diverged")
 
-    monkeypatch.setattr(cli, "commutator_decay", eig_fails)
+    monkeypatch.setattr(macrolimit, "commutator_decay", eig_fails)
     assert cli.run(["commutator-decay", "--seed1", "X", "--seed2", "Z", "--n", "2..3"]) == 3
     err = capsys.readouterr().err
     assert "error:" in err
@@ -498,30 +541,32 @@ def _must_not_run(*args, **kwargs):
     "argv, entries",
     [
         (("born-converge", "--psi", "0.8,0.6", "--n", f"1..{MAX_COUNT_SITES + 1}"),
-         ("born_curve",)),
+         ("macrolimit.born_curve",)),
         # the count route's cap holds for any one-site dimension
-        (("born-converge", "--psi", "1,1,1", "--n", f"{MAX_COUNT_SITES + 1}"), ("born_curve",)),
+        (("born-converge", "--psi", "1,1,1", "--n", f"{MAX_COUNT_SITES + 1}"),
+         ("macrolimit.born_curve",)),
         (("window-mass", "--psi", "1,1,1", "--n", f"1..{MAX_COUNT_SITES + 1}"),
-         ("window_mass",)),
+         ("macrolimit.window_mass",)),
         (("commutator-decay", "--seed1", "X", "--seed2", "Z", "--n",
-          f"2..{MAX_BLOCK_SITES + 1}"), ("commutator_decay",)),
-        (("norm-gap", "--section", "sym2(X,Z)", "--n", f"{MAX_BLOCK_SITES + 1}"), ("norm_gap",)),
+          f"2..{MAX_BLOCK_SITES + 1}"), ("macrolimit.commutator_decay",)),
+        (("norm-gap", "--section", "sym2(X,Z)", "--n", f"{MAX_BLOCK_SITES + 1}"),
+         ("macrolimit.norm_gap",)),
         (("field-check", "--atoms", "1.0:0,0,1", "--section", "X", "--n",
-          f"2..{MAX_BLOCK_SITES + 1}"), ("field_of_states_check",)),
+          f"2..{MAX_BLOCK_SITES + 1}"), ("definetti.field_of_states_check",)),
         (("definetti-fit", "--atoms", "1.0:0,0,1", "--sites", f"{MAX_CHART_SITES + 1}"),
-         ("recover_mixture",)),
+         ("definetti.recover_mixture",)),
         (("boolean-check", "--max-leaves", f"{MAX_LEAVES + 1}"),
-         ("quantum_classical_agreement",)),
+         ("stochastics.quantum_classical_agreement",)),
         (("boolean-check", "--instances", f"{cli.MAX_INSTANCES + 1}"),
-         ("random_expression", "quantum_classical_agreement")),
+         ("stochastics.random_expression", "stochastics.quantum_classical_agreement")),
         # one instance more than the work cap admits at 256 leaves (511 nodes) on 16 sites
         (("boolean-check", "--instances", f"{cli.MAX_BOOLEAN_WORK // (511 << 16) + 1}",
           "--max-leaves", "256", "--sites", "16"),
-         ("random_expression", "quantum_classical_agreement")),
+         ("stochastics.random_expression", "stochastics.quantum_classical_agreement")),
         (("definetti-fit", "--atoms", "1.0:0,0,1", "--k-max", f"{MAX_ATOMS + 1}"),
-         ("recover_mixture",)),
+         ("definetti.recover_mixture",)),
         (("field-check", "--atoms", _ATOMS_PAST_CAP, "--section", "X", "--n", "2..3"),
-         ("field_of_states_check",)),
+         ("definetti.field_of_states_check",)),
     ],
     ids=[
         "born-converge", "born-converge-qutrit", "window-mass-qutrit", "commutator-decay",
@@ -532,8 +577,10 @@ def _must_not_run(*args, **kwargs):
 def test_input_one_past_a_route_cap_exits_2_before_the_route_runs(
     argv, entries, monkeypatch, capsys
 ):
-    for name in entries:
-        monkeypatch.setattr(cli, name, _must_not_run)
+    # each entry names a route function in its defining module, where the
+    # handler looks it up when it runs
+    for target in entries:
+        monkeypatch.setattr(f"macrofield.{target}", _must_not_run)
     started = time.perf_counter()
     assert cli.run(list(argv)) == 2
     assert time.perf_counter() - started < 5.0
@@ -550,7 +597,7 @@ def test_boolean_work_cap_admits_its_edge(instances, leaves, monkeypatch, capsys
     def drawn(*args):
         raise cli.BadFlag("the first expression was drawn")
 
-    monkeypatch.setattr(cli, "random_expression", drawn)
+    monkeypatch.setattr(stochastics, "random_expression", drawn)
     argv = ["--instances", str(instances), "--max-leaves", str(leaves), "--sites", "16"]
     assert cli.run(["boolean-check", *argv]) == 2
     assert "the first expression was drawn" in capsys.readouterr().err
@@ -681,11 +728,11 @@ def _refused_before_any_fit(text: str) -> None:
     def must_not_run(*args, **kwargs):
         raise AssertionError("a refused mixture reached the computation")
 
-    with pytest.raises((cli.MacrofieldError, ValueError)):
+    with pytest.raises((MacrofieldError, ValueError)):
         cli._parse_atoms(text)
     with (
-        mock.patch.object(cli, "recover_mixture", must_not_run),
-        mock.patch.object(cli, "field_of_states_check", must_not_run),
+        mock.patch.object(definetti, "recover_mixture", must_not_run),
+        mock.patch.object(definetti, "field_of_states_check", must_not_run),
     ):
         assert cli.run(["definetti-fit", "--atoms", text, "--sites", "2"]) == 2
         assert cli.run(["field-check", "--atoms", text, "--section", "avg(Z)", "--n", "1..2"]) == 2
