@@ -34,7 +34,7 @@ import numpy as np
 
 from ._optim import maximize_on_ball, project_ball
 from .linalg import DimensionOverflow, MacrofieldError, SiteSpace, SpaceMismatch, kron_power
-from .sections import MAX_BLOCK_SITES, BadOrder, SymmetricSection
+from .sections import BadOrder, SymmetricSection, _irreps, _unit_bands
 from .states import (
     DensityMatrix,
     NSiteState,
@@ -468,18 +468,13 @@ def _block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> fl
     """tr(A_n sum_i w_i rho_i^(x)n) for qubit sections of order <= 2, else None.
     In rho's eigenbasis rho^(x)n is l0^e l1^f (0^0 = 1) at J_z = m, e = n/2 + m,
     f = n/2 - m, on each of the C(n, k) - C(n, k - 1) copies of J = n/2 - k, and
-    A_n has a diagonal there in closed form in the turned seed s, J and m."""
+    the diagonal of A_n there is the turned seed against the band-0 table of
+    _unit_bands; only real parts enter, so the table is never copied to complex."""
     if section.d != 2 or section.m > 2:
         return None
-    if n > MAX_BLOCK_SITES:
-        raise DimensionOverflow(f"n = {n} exceeds the block cap {MAX_BLOCK_SITES}")
-    # every irrep end to end in flat vectors: 2J + 1 entries each, m = J..-J
-    sizes = np.arange(n + 1, 0, -2)
-    jj = np.repeat((sizes - 1) / 2, sizes)
-    m = jj - (np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    sizes, _, m = _irreps(n)
+    table = _unit_bands(section.m, n, 0)
     e, f = n / 2 + m, n / 2 - m
-    # the ordered-pair sum of |01><10| or of |10><01| on the diagonal: J_+ J_- - e
-    flip = jj * (jj + 1) - m * m - n / 2
     # logs of the exact multiplicities: as floats they overflow past n ~ 1030
     mult = [math.comb(n, k) * size // (n - k + 1) for k, size in enumerate(sizes.tolist())]
     log_mult = np.repeat(list(map(math.log, mult)), sizes)
@@ -487,18 +482,11 @@ def _block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> fl
     for w, rho in mix.atoms:
         lam, u = np.linalg.eigh(rho.entries)
         lam, uu = np.maximum(lam, 0.0), kron_power(u, section.m)
-        s = uu.conj().T @ section.seed.entries @ uu
-        if section.m == 1:
-            diag = (s[0, 0] * e + s[1, 1] * f) / n
-        else:
-            diag = (
-                s[0, 0] * e * (e - 1) + (s[1, 1] + s[2, 2]) * e * f + s[3, 3] * f * (f - 1)
-                + (s[1, 2] + s[2, 1]) * flip
-            ) / (n * (n - 1))
+        diag = (uu.conj().T @ section.seed.entries @ uu).ravel().real @ table
         # weights in log space: e factors l0 >= 0, f factors l1 >= 1/2
         with np.errstate(divide="ignore"):
             log_w = e * np.log(np.where(e > 0, lam[0], 1.0)) + f * np.log(lam[1])
-        total += w * float(np.exp(log_w + log_mult) @ diag.real)
+        total += w * float(np.exp(log_w + log_mult) @ diag)
     return total
 
 

@@ -174,7 +174,7 @@ def norm_gap(section: SymmetricSection, n_list) -> list[NormGapRecord]:
     ns = sorted(set(int(n) for n in n_list))
     if ns and ns[0] < _seed_order(section):
         raise BadOrder(f"n={ns[0]} below the seed order {_seed_order(section)}")
-    sup = product_state_sup(section, section.m)
+    sup = product_state_sup(section, _seed_order(section))
     records = []
     for n in ns:
         blocks = spin_blocks(section, n)

@@ -6,8 +6,9 @@ The three extension routes here (one-site accumulation, pair decomposition
 with collective sums, literal subset placement) evaluate the same average and
 are cross-checked against each other and against direct permutation
 averaging in the tests.  Qubit sections of order <= 2 also have a block
-form on the total-spin irreps (`spin_blocks`), built from the seed's entries,
-which carries their norms and commutators without a dense matrix.
+form on the total-spin irreps, without a dense matrix: band k of each block
+is the seed's entries against one closed-form table (`_unit_bands`), which
+`spin_blocks` assembles and the field check reads the diagonal of.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class DecayBoundViolated(MacrofieldError):
 # direct permutation averaging is n! work; beyond this an extension route is required
 DEFAULT_SYMMETRIZE_ORDER = 8
 DEFAULT_SEED_ORDER = 3
-# site cap of the total-spin block route; a sweep up to it takes one to two minutes
+# site cap of the total-spin block route; a sweep up to it takes under half a minute
 MAX_BLOCK_SITES = 256
 
 
@@ -73,39 +74,24 @@ def symmetrize(a: Operator) -> Operator:
     return Operator(a.space, acc.reshape(a.dim, a.dim), copy=False)
 
 
-def _pair_terms(seed: np.ndarray, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # operator-Schmidt split of a two-site operator: seed = sum_r L_r (x) M_r
-    r = seed.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    u, sig, vh = np.linalg.svd(r)
-    cut = 1e-14 * max(1.0, float(sig[0]) if sig.size else 1.0)
-    terms = []
-    for i, s in enumerate(sig):
-        if s <= cut:
-            break
-        scale = math.sqrt(float(s))
-        terms.append((scale * u[:, i].reshape(d, d), scale * vh[i, :].reshape(d, d)))
-    return terms
-
-
-def _pair_sum(terms, n: int, total, dim: int) -> np.ndarray:
-    # sum over ordered pairs i != j of L at site i, M at site j, via
-    # collective sums: sum_{i!=j} L^(i) M^(j) = S(L) S(M) - S(LM); total is S
-    # in the caller's representation, the dense one or one total-spin block
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for left, right in terms:
-        acc += _matmul(total(left), total(right))
-        acc -= total(left @ right)
-    acc /= n * (n - 1)
-    return acc
-
-
 def _extend_pair(seed_sym: np.ndarray, d: int, n: int) -> np.ndarray:
+    # operator-Schmidt split seed = sum_r L_r (x) M_r, then the sum over ordered
+    # pairs i != j of L at site i, M at site j via collective sums:
+    # sum_{i!=j} L^(i) M^(j) = S(L) S(M) - S(LM)
     one_site = SiteSpace(d, 1)
 
     def total(b: np.ndarray) -> np.ndarray:
         return site_sum(Operator(one_site, b, copy=False), n).entries
 
-    return _pair_sum(_pair_terms(seed_sym, d), n, total, d**n)
+    u, sig, vh = np.linalg.svd(seed_sym.reshape((d,) * 4).transpose(0, 2, 1, 3).reshape(d * d, -1))
+    acc = np.zeros((d**n, d**n), dtype=np.complex128)
+    for r in np.flatnonzero(sig > 1e-14 * max(1.0, float(sig[0]))):
+        root = math.sqrt(float(sig[r]))
+        left, right = root * u[:, r].reshape(d, d), root * vh[r].reshape(d, d)
+        acc += _matmul(total(left), total(right))
+        acc -= total(left @ right)
+    acc /= n * (n - 1)
+    return acc
 
 
 def _extend_placement(seed_sym: np.ndarray, d: int, m: int, n: int) -> np.ndarray:
@@ -206,18 +192,40 @@ def materialize(section: SymmetricSection | PerturbedSection, n: int) -> Operato
     return section.materialize(n)
 
 
-def _spin_sum(b: np.ndarray, n: int, two_j: int) -> np.ndarray:
-    """The n-site sum of the one-site qubit operator b on the irrep J = two_j / 2,
-    basis m = J..-J: tridiagonal, b00 (n/2 + m) + b11 (n/2 - m) on the diagonal,
-    b01 and b10 times <m| J_+ |m - 1> = sqrt(J(J+1) - m(m-1)) above and below."""
-    j = two_j / 2
-    m = j - np.arange(two_j + 1)
-    ladder = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1))
-    out = np.zeros((two_j + 1, two_j + 1), dtype=np.complex128)
-    out.flat[:: two_j + 2] = b[0, 0] * (n / 2 + m) + b[1, 1] * (n / 2 - m)
-    out.flat[1 :: two_j + 2] = b[0, 1] * ladder
-    out.flat[two_j + 1 :: two_j + 2] = b[1, 0] * ladder
-    return out
+def _irreps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The total-spin irreps J = n/2, n/2 - 1, ... of n <= MAX_BLOCK_SITES
+    qubits end to end, m = J..-J in each: sizes 2J + 1, and J and m per entry."""
+    if n > MAX_BLOCK_SITES:
+        raise DimensionOverflow(f"n = {n} exceeds the block cap {MAX_BLOCK_SITES}")
+    sizes = np.arange(n + 1, 0, -2)
+    jj = np.repeat((sizes - 1) / 2, sizes)
+    return sizes, jj, jj - (np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+
+
+def _unit_bands(m: int, n: int, k: int) -> np.ndarray:
+    """Band k of the order-m qubit section of each seed matrix unit |a..><c..|,
+    one row per unit in seed.ravel() order: entry p is <p| A_n |p + k> on the
+    irreps of _irreps, 0 where p + k leaves p's irrep.
+
+    S(E00) = n/2 + J_z, S(E11) = n/2 - J_z, S(E01) = J_+ and S(E10) = J_-, and
+    sum_{i!=j} E_ac^(i) E_bd^(j) = S(E_ac) S(E_bd) - [b = c] S(E_ad), over
+    n(n - 1); the ordered pairs symmetrize, so the seed need not be.
+    """
+    _, jj, mz = _irreps(n)
+    # ladders vanish at an irrep's edge, so a row shifted past it reads 0
+    up, down = (np.sqrt(jj * (jj + 1) - mz * (mz + s)) for s in (-1, 1))
+    one = {(0, 0): n / 2 + mz, (1, 1): n / 2 - mz, (0, 1): up, (1, 0): down}
+    table = np.zeros((4**m, mz.size))
+    for unit, bits in enumerate(itertools.product((0, 1), repeat=2 * m)):
+        if sum(bits[m:]) - sum(bits[:m]) != k:
+            continue
+        if m == 1:
+            table[unit] = one[bits] / n
+        else:
+            a, b, c, d = bits
+            pair = one[a, c] * np.roll(one[b, d], a - c) - (b == c) * one[a, d]
+            table[unit] = pair / (n * (n - 1))
+    return table
 
 
 def spin_blocks(section: SymmetricSection | PerturbedSection, n: int) -> list[np.ndarray] | None:
@@ -227,7 +235,8 @@ def spin_blocks(section: SymmetricSection | PerturbedSection, n: int) -> list[np
     A permutation-averaged qubit operator is block diagonal over J
     (Schur-Weyl duality) and acts alike on every copy of an irrep, so these
     blocks carry its norms and commutators; multiplicities are not needed for
-    those.  Only qubit symmetric sections of order <= 2 have the form here;
+    those.  Band k of the blocks is the seed's entries against _unit_bands.
+    Only qubit symmetric sections of order <= 2 have the form here;
     PerturbedSection, d > 2 and m >= 3 get None and take the dense route.
     n may not exceed MAX_BLOCK_SITES.
     """
@@ -235,13 +244,16 @@ def spin_blocks(section: SymmetricSection | PerturbedSection, n: int) -> list[np
         return None
     if n < section.m:
         raise BadOrder(f"need n >= m >= 1, got n={n}, m={section.m}")
-    if n > MAX_BLOCK_SITES:
-        raise DimensionOverflow(f"n = {n} exceeds the block cap {MAX_BLOCK_SITES}")
-    two_js = range(n, -1, -2)
-    if section.m == 1:
-        return [_spin_sum(section.seed.entries, n, t) / n for t in two_js]
-    terms = _pair_terms(symmetrize(section.seed).entries, 2)
-    return [_pair_sum(terms, n, lambda b, t=t: _spin_sum(b, n, t), t + 1) for t in two_js]
+    m, sizes = section.m, _irreps(n)[0].tolist()
+    bands = {k: section.seed.entries.ravel() @ _unit_bands(m, n, k) for k in range(-m, m + 1)}
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(sum(
+            np.diag(band[start + max(0, -k) : start + size - max(0, k)], k)
+            for k, band in bands.items() if abs(k) < size
+        ))
+        start += size
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,40 @@ def naive_symmetrize(a: np.ndarray, d: int, n: int) -> np.ndarray:
     return out / math.factorial(n)
 
 
+def spin_blocks_oracle(seed: np.ndarray, n: int) -> list[np.ndarray]:
+    """The n-site average of a qubit seed of order 1 or 2 on the total-spin
+    irreps J = n/2, n/2 - 1, ..., one (2J+1)-square block each, m = J..-J.
+
+    Each one-site sum is written out as a tridiagonal matrix; an order-2
+    seed is swap-averaged, split into operator-Schmidt terms L (x) M by an
+    SVD, and summed over ordered pairs as S(L) S(M) - S(LM) with matrix
+    products, over n(n - 1).
+    """
+
+    def one_site_sum(b: np.ndarray, two_j: int) -> np.ndarray:
+        j = two_j / 2
+        m = j - np.arange(two_j + 1)
+        ladder = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1))
+        return (np.diag(b[0, 0] * (n / 2 + m) + b[1, 1] * (n / 2 - m))
+                + np.diag(b[0, 1] * ladder, 1) + np.diag(b[1, 0] * ladder, -1))
+
+    two_js = range(n, -1, -2)
+    if seed.shape == (2, 2):
+        return [one_site_sum(seed, t) / n for t in two_js]
+    swap = naive_perm_matrix(2, 2, (2, 1))
+    sym = (seed + swap @ seed @ swap) / 2
+    u, sig, vh = np.linalg.svd(sym.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
+    terms = [(np.sqrt(s) * u[:, r].reshape(2, 2), np.sqrt(s) * vh[r].reshape(2, 2))
+             for r, s in enumerate(sig) if s > 1e-14 * max(1.0, sig[0])]
+    blocks = []
+    for t in two_js:
+        acc = np.zeros((t + 1, t + 1), dtype=complex)
+        for left, right in terms:
+            acc += one_site_sum(left, t) @ one_site_sum(right, t) - one_site_sum(left @ right, t)
+        blocks.append(acc / (n * (n - 1)))
+    return blocks
+
+
 def rand_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2

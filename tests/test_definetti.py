@@ -30,6 +30,7 @@ from conftest import (
     naive_symmetrize,
     nelder_mead_sup,
     rand_hermitian,
+    spin_blocks_oracle,
 )
 from macrofield import definetti
 from macrofield.cli import _LETTERS, _parse_section
@@ -54,9 +55,7 @@ from macrofield.definetti import (
     recover_mixture,
 )
 from macrofield.linalg import DimensionOverflow, Operator, SiteSpace, SpaceMismatch, kron_power
-from macrofield.sections import (
-    MAX_BLOCK_SITES, BadOrder, PerturbedSection, SymmetricSection, spin_blocks
-)
+from macrofield.sections import MAX_BLOCK_SITES, BadOrder, PerturbedSection, SymmetricSection
 from macrofield.states import (
     BlochVector,
     DensityMatrix,
@@ -732,15 +731,16 @@ def test_block_and_chart_routes_match_the_dense_oracle(atoms, n, seed):
 
 
 def _spin_block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> float:
-    """The mixture expectation from the full spin_blocks of the seed turned
-    into each atom's eigenbasis: their diagonals weighted by l0^e l1^(n-e) on
-    each of the C(n, k) - C(n, k - 1) copies of the irrep J = n/2 - k."""
+    """The mixture expectation from the full blocks of spin_blocks_oracle for
+    the seed turned into each atom's eigenbasis: their diagonals weighted by
+    l0^e l1^(n-e) on each of the C(n, k) - C(n, k - 1) copies of the irrep
+    J = n/2 - k."""
     total = 0.0
     for w, rho in mix.atoms:
         lam, u = np.linalg.eigh(rho.entries)
         lam, uu = np.maximum(lam, 0.0), kron_power(u, section.m)
-        seed = Operator(section.seed.space, uu.conj().T @ section.seed.entries @ uu)
-        for k, block in enumerate(spin_blocks(SymmetricSection(2, section.m, seed), n)):
+        seed = uu.conj().T @ section.seed.entries @ uu
+        for k, block in enumerate(spin_blocks_oracle(seed, n)):
             e = n - k - np.arange(len(block))
             mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
             with np.errstate(divide="ignore"):
@@ -751,7 +751,7 @@ def _spin_block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) 
 
 @pytest.mark.parametrize("n", [64, MAX_BLOCK_SITES])
 def test_block_expectation_matches_the_full_spin_blocks(n):
-    # the diagonals in closed form against the diagonals of the built blocks,
+    # the band table's diagonals against those of the oracle's multiplied blocks,
     # on pure and mixed atoms, for seeds neither Hermitian nor swap-symmetric,
     # whose expectations both routes give the real part of
     rng = np.random.default_rng(n)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     SX, SZ, I2, P1, TOL_EIG, assert_raises_before_allocating, kron_chain, naive_embed,
-    naive_symmetrize, rand_hermitian,
+    naive_perm_matrix, naive_symmetrize, rand_hermitian, spin_blocks_oracle,
 )
 
 from macrofield import sections
@@ -340,6 +340,38 @@ def test_spin_blocks_are_the_dense_spectrum_with_multiplicities(seed, m, data):
     assert np.abs(np.sort(eig) - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
 
 
+def _rand_seed(rng: np.random.Generator, m: int) -> np.ndarray:
+    return rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
+
+
+SWAP = naive_perm_matrix(2, 2, (2, 1))
+
+
+@pytest.mark.parametrize(
+    "m, n", [(1, 1)] + [(m, n) for m in (1, 2) for n in (2, 3, 12, 64, 256)]
+)
+def test_spin_blocks_match_the_matmul_oracle(m, n):
+    # the band table against one-site sums multiplied out block by block,
+    # for seeds neither Hermitian nor swap-symmetric
+    seed = _rand_seed(np.random.default_rng([m, n]), m)
+    assert not np.allclose(seed, seed.conj().T)
+    assert m == 1 or not np.allclose(seed, SWAP @ seed @ SWAP)
+    got = spin_blocks(SymmetricSection(2, m, op(seed, n=m)), n)
+    for block, want in zip(got, spin_blocks_oracle(seed, n), strict=True):
+        assert block.shape == want.shape
+        assert np.abs(block - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40))
+def test_spin_blocks_average_the_seed_over_the_swap(seed, n):
+    # the ordered-pair sum symmetrizes: s and SWAP s SWAP give the same blocks
+    s = _rand_seed(np.random.default_rng(seed), 2)
+    pair = [spin_blocks(SymmetricSection(2, 2, op(t, n=2)), n) for t in (s, SWAP @ s @ SWAP)]
+    for block, swapped in zip(*pair, strict=True):
+        assert np.abs(block - swapped).max() <= 1e-12 * max(1.0, np.abs(block).max())
+
+
 def test_spin_blocks_only_for_qubit_sections_of_order_two_or_less():
     base = SymmetricSection(2, 1, op(SZ))
     perturbed = PerturbedSection(base, lambda n: identity(SiteSpace(2, n)), 1.0, 1.0)
@@ -355,6 +387,10 @@ def test_block_and_dense_routes_refuse_one_past_their_caps():
         section = SymmetricSection(2, seed.space.n, seed)
         assert_raises_before_allocating(
             DimensionOverflow, spin_blocks, section, MAX_BLOCK_SITES + 1
+        )
+    for m, k in ((1, 0), (2, 2)):
+        assert_raises_before_allocating(
+            DimensionOverflow, sections._unit_bands, m, MAX_BLOCK_SITES + 1, k
         )
     # sections without blocks fall back to dense matrices, capped at 4096 rows
     qutrit = SymmetricSection(3, 1, op(np.eye(3), d=3))
