@@ -29,7 +29,7 @@ _EXPORTS = {
         "permute_sites", "permutation_unitary", "identity",
         "PAULI_X", "PAULI_Y", "PAULI_Z", "PROJ_0", "PROJ_1",
         "MacrofieldError", "MismatchedLocalDimension", "SiteOutOfRange",
-        "NotHermitian", "EigFailed", "SpaceMismatch", "DimensionOverflow",
+        "NotHermitian", "EigFailed", "OptimizerFailed", "SpaceMismatch", "DimensionOverflow",
     ),
     "sections": (
         "SymmetricSection", "PerturbedSection", "FrequencySpec",
@@ -48,7 +48,6 @@ _EXPORTS = {
         "window_projection", "window_mass", "born_curve", "deviation_norm",
         "BadWindow",
     ),
-    "_optim": ("OptimizerFailed",),
     "stochastics": (
         "BernoulliSpec", "CylinderEvent", "BooleanExpr", "Leaf", "And", "Or", "Not",
         "cylinder", "involved_sites", "random_expression", "SllnReport",

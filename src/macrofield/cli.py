@@ -314,7 +314,8 @@ def _cmd_boolean_check(args):
 
 
 def _cmd_definetti_fit(args):
-    from .definetti import MAX_ATOMS, MAX_CHART_SITES, recover_mixture
+    from ._optim import MAX_CHART_SITES
+    from .definetti import MAX_ATOMS, recover_mixture
     from .states import density_to_bloch
     mix, canon = _parse_atoms(args.atoms)
     if not 1 <= args.sites <= MAX_CHART_SITES:
@@ -495,8 +496,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
-    from ._optim import OptimizerFailed
-    from .linalg import EigFailed, MacrofieldError
+    from .linalg import EigFailed, MacrofieldError, OptimizerFailed
     started = time.perf_counter()
     try:
         config, columns, records, summary = _COMMANDS[args.command](args)

@@ -1,19 +1,14 @@
 """Finite-atom decompositions of permutation-invariant qubit states.
 
-The fit works in one representation of permutation-invariant operators.
-In the orthonormal Pauli product basis, sigma_a/sqrt(2) on each site, such
-an operator gives the same coefficient to every string with the same counts
-beta of I, X, Y and Z. It is stored once per count vector, times
-sqrt(n!/beta!), the root of the number of such strings: C(n+3, 3)
-coordinates, whose dot product is the Frobenius inner product. A dense
-target is converted once (fit_mixture), a known mixture's state is formed
-there (recover_mixture); the product power of the qubit state at Bloch point
-b has coordinates sqrt(n!/beta!) u^beta with u = (1, b)/sqrt(2), and atoms
-are Bloch points until the result is built.
+The fit works in the multiset chart of _optim: C(n+3, 3) coordinates per
+permutation-invariant operator, whose dot product is the Frobenius inner
+product. A dense target is converted once (fit_mixture), a known mixture's
+state is formed there (recover_mixture), and atoms are Bloch points until
+the result is built.
 
 The fit is a conditional-gradient loop: each step adds the product power
 best correlated with the current residual, found by projected gradient
-ascent of that degree-n polynomial in b from 32 starts at once, re-solves
+ascent of that degree-n polynomial from 32 starts at once, re-solves
 the weights on the probability simplex, refines all atoms jointly by
 projected Gauss-Newton steps on the exact Jacobian of the coordinates, and
 merges atoms that collide. Low-weight atoms are retried without at the end;
@@ -24,15 +19,12 @@ sections do not move with n, on total-spin block diagonals where there are some.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import NamedTuple
 
 import numpy as np
 
-from ._optim import maximize_on_ball, project_ball
+from ._optim import _coords, _correlate, _power_grads, _powers, maximize_on_ball, project_ball
 from .linalg import DimensionOverflow, MacrofieldError, SiteSpace, SpaceMismatch, kron_power
 from .sections import BadOrder, SymmetricSection, _irreps, _unit_bands
 from .states import (
@@ -48,7 +40,6 @@ from .states import (
 
 __all__ = [
     "MAX_ATOMS",
-    "MAX_CHART_SITES",
     "MERGE_DELTA",
     "NotSymmetric",
     "DiscreteMixture",
@@ -61,10 +52,8 @@ __all__ = [
 
 # atoms closer than this in trace distance are considered one atom
 MERGE_DELTA = 1e-2
-# site cap of the multiset chart; a fit of two or three atoms there takes 4 to 8 s
-MAX_CHART_SITES = 32
 # atom cap of a mixture and of a fit's budget: a fit of that many atoms at
-# MAX_CHART_SITES takes about 85 s, a field check of them up to 256 sites 3 s
+# _optim.MAX_CHART_SITES takes about 85 s, a field check of them up to 256 sites 3 s
 MAX_ATOMS = 32
 # a round ends the fit if it gains less than this or leaves a residual below this
 IMPROVEMENT_TOL = 1e-9
@@ -146,97 +135,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     r = holds[-1] + 1
     theta = (css[r - 1] - 1.0) / r
     return np.maximum(v - theta, 0.0)
-
-
-class _Classes(NamedTuple):
-    # (K, n) sorted site labels, 0..3 for I, X, Y, Z
-    labels: np.ndarray
-    # (K, 4) label counts beta
-    beta: np.ndarray
-    # (K,) sqrt(n! / beta!), the root of the number of strings in the class
-    mult: np.ndarray
-    # (K, 4) index of beta - e_a among the classes of n - 1 labels; 0 where beta_a = 0
-    down: np.ndarray
-
-
-@functools.cache
-def _classes(n: int) -> _Classes:
-    """The C(n+3, 3) multisets of n Pauli labels, in the order of
-    combinations_with_replacement; n may not exceed MAX_CHART_SITES."""
-    if n > MAX_CHART_SITES:
-        raise DimensionOverflow(f"n = {n} exceeds the chart cap {MAX_CHART_SITES}")
-    rows = list(combinations_with_replacement(range(4), n))
-    labels = np.array(rows, dtype=np.intp).reshape(len(rows), n)
-    beta = np.stack([(labels == a).sum(axis=1) for a in range(4)], axis=1)
-    mult = np.sqrt([float(math.factorial(n) // math.prod(map(math.factorial, b))) for b in beta])
-    down = np.zeros((len(rows), 4), dtype=np.intp)
-    if n:
-        lower = {row: i for i, row in enumerate(combinations_with_replacement(range(4), n - 1))}
-        for i, row in enumerate(rows):
-            for a in set(row):
-                j = row.index(a)
-                down[i, a] = lower[row[:j] + row[j + 1 :]]
-    for arr in (labels, beta, mult, down):
-        arr.flags.writeable = False
-    return _Classes(labels, beta, mult, down)
-
-
-def _coords(arr: np.ndarray, n: int) -> np.ndarray:
-    """The C(n+3, 3) coordinates of a permutation-invariant Hermitian n-site
-    matrix A. One Pauli string per class is read, so the result means
-    nothing for a matrix that is not permutation-invariant.
-
-    tr(A P) = i^#Y sum_x A[x, x ^ flip] (-1)^popcount(x & signed), where
-    X and Y flip a site's bit and Y and Z sign it; site 1 is the leading bit.
-    """
-    cls = _classes(n)
-    site_bits = 1 << np.arange(n - 1, -1, -1)
-    flip = np.isin(cls.labels, (1, 2)) @ site_bits
-    signed = (cls.labels >= 2) @ site_bits
-    x = np.arange(1 << n)
-    # bitwise_count returns uint8, where 1 - 2 * parity would wrap
-    parity = np.bitwise_count(x & signed[:, None]).astype(np.intp) & 1
-    sums = (arr[x, x ^ flip[:, None]] * (1 - 2 * parity)).sum(axis=1)
-    traces = np.array([1, 1j, -1, -1j])[cls.beta[:, 2] % 4] * sums
-    return cls.mult * traces.real / 2.0 ** (n / 2)
-
-
-def _powers(blochs: np.ndarray, n: int) -> np.ndarray:
-    """One row per Bloch point b: the coordinates of rho(b)^(x)n, whose Pauli
-    coefficient on a string with label counts beta is u^beta, u = (1, b)/sqrt(2)."""
-    u = np.column_stack([np.ones(len(blochs)), blochs]) / math.sqrt(2.0)
-    cls = _classes(n)
-    return np.prod(u[:, cls.labels], axis=2) * cls.mult
-
-
-def _power_grads(blochs: np.ndarray, n: int) -> np.ndarray:
-    """(B, 3, K) derivatives of _powers(blochs, n) along the Bloch axes.
-
-    As sqrt(n!/beta!) beta_a = sqrt(n beta_a) sqrt((n-1)!/(beta - e_a)!), the
-    u_a derivative of coordinate beta is sqrt(n beta_a) times coordinate
-    beta - e_a of degree n - 1; u_a moves with b_(a-1) at rate 1/sqrt(2).
-    """
-    cls = _classes(n)
-    return _powers(blochs, n - 1)[:, cls.down[:, 1:].T] * np.sqrt(n * cls.beta[:, 1:].T / 2.0)
-
-
-def _correlate(c: np.ndarray, blochs: np.ndarray, n: int):
-    """Values and Bloch gradients of f(b) = tr(C rho(b)^(x)n) for the rows b
-    of a (B, 3) array, C permutation-invariant with coordinates c.
-
-    f is a homogeneous polynomial of degree n in u = (1, b)/sqrt(2). Its u
-    gradient is c scattered into a table over the coordinates of degree
-    n - 1, as in _power_grads, and evaluated at all points by one matrix
-    product. The value follows by Euler's identity f = u . grad_u f / n, and
-    the Bloch gradient is the b part of grad_u f over sqrt(2).
-    """
-    cls = _classes(n)
-    hit = cls.beta > 0
-    table = np.zeros((math.comb(n + 2, 3), 4))
-    table[cls.down[hit], np.nonzero(hit)[1]] = (c[:, None] * np.sqrt(n * cls.beta))[hit]
-    grad_u = _powers(blochs, n - 1) @ table
-    vals = (grad_u[:, 0] + (grad_u[:, 1:] * blochs).sum(axis=1)) / (n * math.sqrt(2.0))
-    return vals, grad_u[:, 1:] / math.sqrt(2.0)
 
 
 def _best_vertex(c: np.ndarray, n: int) -> np.ndarray:

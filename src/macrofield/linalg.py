@@ -7,7 +7,7 @@ all public site indices are 1-based.  Dimensions are capped at MAX_DIM = 4096
 command-line route builds its n-site objects here, and each caps its own site
 counts: qubit sections of order <= 2 go to total-spin blocks
 (`sections.spin_blocks`), the mixture fit to label-multiset coordinates
-(`definetti`), and the dense route is their fallback and oracle.
+(`_optim`), and the dense route is their fallback and oracle.
 
 Norms and products delegate to LAPACK and BLAS through numpy, with exact
 dispatch fast paths (exactly-real input, and diagonal input for norms) that
@@ -45,6 +45,10 @@ class NotHermitian(MacrofieldError):
 
 
 class EigFailed(MacrofieldError):
+    pass
+
+
+class OptimizerFailed(MacrofieldError):
     pass
 
 

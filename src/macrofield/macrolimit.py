@@ -13,15 +13,16 @@ other sections are materialized densely, up to the dense cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._optim import OptimizerFailed, maximize_on_ball
-from .definetti import _coords, _correlate
+from ._optim import _coords, _correlate, maximize_on_ball
 from .linalg import (
     DimensionOverflow,
     MacrofieldError,
     Operator,
+    OptimizerFailed,
     SiteSpace,
     _matmul,
     _norm,
@@ -38,7 +39,9 @@ from .sections import (
     spin_blocks,
     symmetrize,
 )
-from .states import PureState
+
+if TYPE_CHECKING:
+    from .states import PureState
 
 __all__ = [
     "MAX_COUNT_SITES",
@@ -139,7 +142,7 @@ def product_state_sup(section: SymmetricSection, n: int) -> float:
     the search runs on the m-site seed S; n is validated and recorded only.
     S = H + iK with H and K Hermitian, and tr(rho^(x)m S) does not change
     when S is averaged over site permutations, so both parts are symmetrized
-    and read in the multiset chart of the fit. The modulus |f| = hypot(f_H,
+    and read in the multiset chart of _optim. The modulus |f| = hypot(f_H,
     f_K) and its Bloch gradient go to the batched ball oracle.
     """
     if not isinstance(section, SymmetricSection):

@@ -9,6 +9,7 @@ state is fixed by every permutation of its sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,7 +24,9 @@ from .linalg import (
     kron_power,
     permute_sites,
 )
-from .sections import SymmetricSection
+
+if TYPE_CHECKING:
+    from .sections import SymmetricSection
 
 
 class OutsideBall(MacrofieldError):
@@ -32,10 +35,6 @@ class OutsideBall(MacrofieldError):
 
 class InvalidState(MacrofieldError):
     pass
-
-
-# re-exported here because state constructors are where it typically surfaces
-from .linalg import DimensionOverflow  # noqa: E402  (intentional re-export)
 
 
 def _check_state(arr: np.ndarray) -> None:

@@ -16,13 +16,16 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import (
     DimensionOverflow, MacrofieldError, Operator, SiteSpace, SpaceMismatch, kron_power
 )
-from .states import PureState
+
+if TYPE_CHECKING:
+    from .states import PureState
 
 __all__ = [
     "MAX_CONSTRAINTS",

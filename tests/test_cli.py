@@ -23,9 +23,9 @@ from conftest import assert_raises_before_allocating, binom_window_mass, src_env
 
 import macrofield.cli as cli
 from macrofield import definetti, macrolimit, sections, stochastics
-from macrofield._optim import OptimizerFailed
-from macrofield.definetti import MAX_ATOMS, MAX_CHART_SITES, MERGE_DELTA
-from macrofield.linalg import EigFailed, MacrofieldError
+from macrofield._optim import MAX_CHART_SITES
+from macrofield.definetti import MAX_ATOMS, MERGE_DELTA
+from macrofield.linalg import EigFailed, MacrofieldError, OptimizerFailed
 from macrofield.macrolimit import MAX_COUNT_SITES
 from macrofield.sections import MAX_BLOCK_SITES
 from macrofield.stochastics import MAX_LEAVES
@@ -231,8 +231,9 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     with contextlib.suppress(SystemExit):
         main()
 threads = len(os.listdir("/proc/self/task"))
-loaded = sorted(name for name in sys.modules if name == "numpy" or name in (
-    "macrofield.macrolimit", "macrofield.stochastics", "macrofield.definetti"))
+# every package module but the entry point this script imports itself
+loaded = sorted(name for name in sys.modules if name == "numpy" or (
+    name.startswith("macrofield.") and name != "macrofield.__main__"))
 
 wrong = []
 for name in macrofield.__all__[1:]:
@@ -282,27 +283,31 @@ def test_cli_entry_point_starts_serial_blas_behind_a_lazy_namespace():
     # a start that computes nothing loads neither numpy nor a route; the last
     # argv is a usage error, as norm-gap requires --section
     for argv in (("--version",), ("--help",), ("norm-gap", "--help"), ("norm-gap",)):
-        assert _start(*argv)["loaded"] == [], argv
+        assert _start(*argv)["loaded"] == ["macrofield.cli"], argv
 
 
-# the route modules each subcommand loads besides numpy; macrolimit reads the
-# chart helpers of definetti, so its commands load both
+# the package modules each subcommand loads besides cli and numpy: its route
+# and the layers that route runs, and states where a parser builds a state
 _ROUTES = {
-    _SLLN: ("stochastics",),
-    ("boolean-check", "--instances", "2"): ("stochastics",),
-    ("definetti-fit", "--atoms", "1:0,0,1", "--sites", "2", "--k-max", "1"): ("definetti",),
-    ("field-check", "--atoms", "1:0,0,1", "--section", "X", "--n", "1..2"): ("definetti",),
-    ("born-converge", "--psi", "0.8,0.6", "--n", "1..2"): ("definetti", "macrolimit"),
-    ("window-mass", "--psi", "0.8,0.6", "--n", "1..2"): ("definetti", "macrolimit"),
+    _SLLN: ("linalg", "stochastics"),
+    ("boolean-check", "--instances", "2"): ("linalg", "states", "stochastics"),
+    ("definetti-fit", "--atoms", "1:0,0,1", "--sites", "2", "--k-max", "1"):
+        ("linalg", "sections", "states", "_optim", "definetti"),
+    ("field-check", "--atoms", "1:0,0,1", "--section", "X", "--n", "1..2"):
+        ("linalg", "sections", "states", "_optim", "definetti"),
+    ("born-converge", "--psi", "0.8,0.6", "--n", "1..2"):
+        ("linalg", "sections", "states", "_optim", "macrolimit"),
+    ("window-mass", "--psi", "0.8,0.6", "--n", "1..2"):
+        ("linalg", "sections", "states", "_optim", "macrolimit"),
     ("commutator-decay", "--seed1", "X", "--seed2", "Z", "--n", "2..3"):
-        ("definetti", "macrolimit"),
-    ("norm-gap", "--section", "X", "--n", "2..3"): ("definetti", "macrolimit"),
+        ("linalg", "sections", "_optim", "macrolimit"),
+    ("norm-gap", "--section", "X", "--n", "2..3"): ("linalg", "sections", "_optim", "macrolimit"),
 }
 
 
 @pytest.mark.parametrize("argv", list(_ROUTES), ids=lambda argv: argv[0])
 def test_each_subcommand_loads_numpy_and_only_its_own_route(argv):
-    want = sorted(["numpy", *(f"macrofield.{name}" for name in _ROUTES[argv])])
+    want = sorted(["numpy", "macrofield.cli", *(f"macrofield.{name}" for name in _ROUTES[argv])])
     assert _start(*argv)["loaded"] == want
 
 

@@ -32,21 +32,18 @@ from conftest import (
     rand_hermitian,
     spin_blocks_oracle,
 )
-from macrofield import definetti
+from macrofield import _optim, definetti
+from macrofield._optim import MAX_CHART_SITES, _coords, _correlate, _powers
 from macrofield.cli import _LETTERS, _parse_section
 from macrofield.definetti import (
     MAX_ATOMS,
-    MAX_CHART_SITES,
     MERGE_DELTA,
     DiscreteMixture,
     FitResult,
     NotSymmetric,
     _best_vertex,
     _block_expect,
-    _coords,
-    _correlate,
     _merge_atoms,
-    _powers,
     _refine,
     _settle,
     field_of_states_check,
@@ -225,13 +222,13 @@ def test_chart_norm_matches_the_closed_form_past_35_sites(n, monkeypatch):
     # is tr(rho^2)^(n/2), with tr(rho^2) = (1 + |b|^2)/2. The arithmetic does
     # not depend on the chart's site cap, which is lifted here, and the classes
     # built past it leave the cache afterwards
-    monkeypatch.setattr(definetti, "MAX_CHART_SITES", n)
+    monkeypatch.setattr(_optim, "MAX_CHART_SITES", n)
     rng = np.random.default_rng(n)
     blochs = np.array([ball_point(rng, pure) for pure in (True, False, False)])
     try:
         got = (_powers(blochs, n) ** 2).sum(axis=1)
     finally:
-        definetti._classes.cache_clear()
+        _optim._classes.cache_clear()
     want = ((1.0 + (blochs**2).sum(axis=1)) / 2.0) ** n
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
