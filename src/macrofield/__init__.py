@@ -51,7 +51,7 @@ _EXPORTS = {
     "stochastics": (
         "BernoulliSpec", "CylinderEvent", "BooleanExpr", "Leaf", "And", "Or", "Not",
         "cylinder", "involved_sites", "random_expression", "SllnReport",
-        "hoeffding_bound", "sample_sequences", "slln_check",
+        "hoeffding_bound", "slln_check",
         "cylinder_to_projection", "classical_probability",
         "quantum_classical_agreement", "SiteBeyondHorizon", "TooManySites",
     ),

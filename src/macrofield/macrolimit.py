@@ -195,7 +195,7 @@ def _count_laws(psi: PureState, spec: FrequencySpec, ns: list[int]):
         raise BadOrder(f"need n >= 1, got {ns[0]}")
     if ns and ns[-1] > MAX_COUNT_SITES:
         raise DimensionOverflow(f"n = {ns[-1]} exceeds the count cap {MAX_COUNT_SITES}")
-    q = min(max(_own_mean(psi, spec), 0.0), 1.0)
+    q = _own_mean(psi, spec)
     w = np.ones(1)
     for n in ns:
         for _ in range(n + 1 - w.size):
@@ -206,8 +206,10 @@ def _count_laws(psi: PureState, spec: FrequencySpec, ns: list[int]):
 
 
 def _own_mean(psi: PureState, spec: FrequencySpec) -> float:
-    """<psi| P |psi>, the one-site probability of the projector's outcome."""
-    return float(complex(np.vdot(psi.amplitudes, spec.projector.entries @ psi.amplitudes)).real)
+    """<psi| P |psi>, the one-site probability of the projector's outcome,
+    clamped to [0, 1] against rounding."""
+    p = float(complex(np.vdot(psi.amplitudes, spec.projector.entries @ psi.amplitudes)).real)
+    return min(max(p, 0.0), 1.0)
 
 
 def _window_mask(freq: np.ndarray, p: float, epsilon: float) -> np.ndarray:
@@ -244,7 +246,7 @@ def window_mass(
     records = []
     for n, w in _count_laws(psi, spec, sorted(set(int(n) for n in n_list))):
         # read after _count_laws has checked the state against the spec
-        p = min(max(_own_mean(psi, spec), 0.0), 1.0)
+        p = _own_mean(psi, spec)
         mass = float(w[_window_mask(np.arange(n + 1) / n, p, epsilon)].sum())
         records.append(WindowMassRecord(n, float(epsilon), mass))
     return records

@@ -2,13 +2,16 @@
 
 A "section" is a rule n |-> A_n built from a fixed m-site seed: the seed is
 padded with identities to n sites and averaged over all site permutations.
-The three extension routes here (one-site accumulation, pair decomposition
-with collective sums, literal subset placement) evaluate the same average and
-are cross-checked against each other and against direct permutation
-averaging in the tests.  Qubit sections of order <= 2 also have a block
-form on the total-spin irreps, without a dense matrix: band k of each block
-is the seed's entries against one closed-form table (`_unit_bands`), which
-`spin_blocks` assembles and the field check reads the diagonal of.
+Two dense routes evaluate that average: a one-site seed is a site sum over n,
+and a seed of order m >= 2 grows by the composition law
+j_{k+1,m} = j_{k+1,k} o j_{k,m}, one identity site at a time, each step the
+average over the k + 1 places where the new site can go.  The tests check both
+against direct permutation averaging of the padded seed (`naive_extension`),
+for qubits and qutrits, and against the composition law itself.  Qubit
+sections of order <= 2 also have a block form on the total-spin irreps,
+without a dense matrix: band k of each block is the seed's entries against
+one closed-form table (`_unit_bands`), which `spin_blocks` assembles and the
+field check reads the diagonal of.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .linalg import (
     SiteSpace,
     SpaceMismatch,
     TOL_HERM,
-    _matmul,
     hermiticity_defect,
     site_sum,
     spectral_norm,
@@ -74,42 +76,20 @@ def symmetrize(a: Operator) -> Operator:
     return Operator(a.space, acc.reshape(a.dim, a.dim), copy=False)
 
 
-def _extend_pair(seed_sym: np.ndarray, d: int, n: int) -> np.ndarray:
-    # operator-Schmidt split seed = sum_r L_r (x) M_r, then the sum over ordered
-    # pairs i != j of L at site i, M at site j via collective sums:
-    # sum_{i!=j} L^(i) M^(j) = S(L) S(M) - S(LM)
-    one_site = SiteSpace(d, 1)
-
-    def total(b: np.ndarray) -> np.ndarray:
-        return site_sum(Operator(one_site, b, copy=False), n).entries
-
-    u, sig, vh = np.linalg.svd(seed_sym.reshape((d,) * 4).transpose(0, 2, 1, 3).reshape(d * d, -1))
-    acc = np.zeros((d**n, d**n), dtype=np.complex128)
-    for r in np.flatnonzero(sig > 1e-14 * max(1.0, float(sig[0]))):
-        root = math.sqrt(float(sig[r]))
-        left, right = root * u[:, r].reshape(d, d), root * vh[r].reshape(d, d)
-        acc += _matmul(total(left), total(right))
-        acc -= total(left @ right)
-    acc /= n * (n - 1)
+def _insert_identities(seed_sym: np.ndarray, d: int, m: int, n: int) -> np.ndarray:
+    # the composition law one site at a time: j_{k+1,m} is the average over the
+    # k + 1 places of j_{k,m} with an identity site inserted at that place
+    acc = seed_sym
+    for k in range(m, n):
+        out = np.zeros((d ** (k + 1),) * 2, dtype=np.complex128)
+        for place in range(k + 1):
+            left, right = d**place, d ** (k - place)
+            y = out.reshape(left, d, right, left, d, right)
+            for i in range(d):
+                y[:, i, :, :, i, :] += acc.reshape(left, right, left, right)
+        out /= k + 1
+        acc = out
     return acc
-
-
-def _extend_placement(seed_sym: np.ndarray, d: int, m: int, n: int) -> np.ndarray:
-    # literal sum over the C(n, m) site subsets; the seed is already
-    # permutation-averaged, so unordered subsets suffice
-    pad = np.kron(seed_sym, np.eye(d ** (n - m), dtype=np.complex128))
-    t = pad.reshape((d,) * (2 * n))
-    acc = np.zeros_like(t)
-    for combo in itertools.combinations(range(n), m):
-        rest = [q for q in range(n) if q not in combo]
-        axes = [0] * n
-        for src, dst in enumerate(combo):
-            axes[dst] = src
-        for src, dst in enumerate(rest):
-            axes[dst] = m + src
-        acc += t.transpose(axes + [x + n for x in axes])
-    acc /= math.comb(n, m)
-    return acc.reshape(d**n, d**n)
 
 
 def j_nm(n: int, m: int, a_m: Operator) -> Operator:
@@ -130,12 +110,8 @@ def j_nm(n: int, m: int, a_m: Operator) -> Operator:
     space = SiteSpace(d, n)
     if m == 1:
         arr = site_sum(a_m, n).entries / n
-        return Operator(space, arr, copy=False)
-    seed_sym = symmetrize(a_m).entries
-    if m == 2:
-        arr = _extend_pair(seed_sym, d, n)
     else:
-        arr = _extend_placement(seed_sym, d, m, n)
+        arr = _insert_identities(symmetrize(a_m).entries, d, m, n)
     return Operator(space, arr, copy=False)
 
 

@@ -6,9 +6,9 @@ eigenvalues of its projection image on the 2**k bit assignments of the k sites
 it involves, whatever n: Born weights summed against them give its expectation,
 and, since the values are exactly 0.0 and 1.0, they are also its truth values,
 which select the Bernoulli weights (the k-fold Kronecker power of (1 - p, p))
-that sum to its probability. Sampling utilities check the strong law of large
-numbers numerically, with a counter-based generator so every run is
-reproducible bit for bit from a 64-bit seed.
+that sum to its probability. The strong-law check draws binomial counts from a
+counter-based generator, so every run is reproducible bit for bit from a
+64-bit seed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "random_expression",
     "SllnReport",
     "hoeffding_bound",
-    "sample_sequences",
     "slln_check",
     "cylinder_to_projection",
     "classical_probability",
@@ -199,24 +198,6 @@ class SllnReport:
 
 def hoeffding_bound(n: int, delta: float) -> float:
     return 2.0 * math.exp(-2.0 * n * delta * delta)
-
-
-def sample_sequences(spec: BernoulliSpec, n: int, trials: int, seed: int) -> np.ndarray:
-    """trials x n matrix of i.i.d. Bernoulli(p) bits, deterministic in seed.
-
-    Bits come from thresholding uniform [0, 1) draws, so p = 0 and p = 1 are
-    exact. Draws are blocked to bound transient memory; the block split does
-    not change the stream.
-    """
-    if n < 1 or trials < 1:
-        raise ValueError(f"need n >= 1 and trials >= 1, got n={n}, trials={trials}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    out = np.empty((trials, n), dtype=np.uint8)
-    block = max(1, (1 << 22) // n)
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        out[start:stop] = rng.random((stop - start, n)) < spec.p
-    return out
 
 
 def slln_check(spec: BernoulliSpec, n: int, trials: int, delta: float, seed: int) -> SllnReport:

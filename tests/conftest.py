@@ -10,9 +10,12 @@ an event probability summed one bit assignment at a time.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -204,6 +207,31 @@ def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     return env
+
+
+# ru_maxrss survives exec, so an interpreter started from the test process
+# would report that process's peak; the body runs in a child forked from this
+# small one
+_FORK = """
+import os, sys
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def run_forked(body: str) -> dict:
+    """Run a script body in a fresh interpreter's forked child, so that its
+    ru_maxrss is the body's own peak, and return the JSON it prints."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK + body],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def assert_raises_before_allocating(exc, fn, *args) -> None:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_raises_before_allocating, binom_window_mass, src_env
+from conftest import assert_raises_before_allocating, binom_window_mass, run_forked, src_env
 
 import macrofield.cli as cli
 from macrofield import definetti, macrolimit, sections, stochastics
@@ -312,15 +312,8 @@ def test_each_subcommand_loads_numpy_and_only_its_own_route(argv):
 
 
 # the fit and the field check at n = 12 in a fresh interpreter, then its peak
-# RSS; at 2^12 x 2^12 a single dense complex matrix is 268 MB. ru_maxrss
-# survives exec, so an interpreter started from the test process would report
-# that process's peak; the work runs in a child forked from this small one
+# RSS; at 2^12 x 2^12 a single dense complex matrix is 268 MB
 _FOOTPRINT_SCRIPT = """
-import os, sys
-pid = os.fork()
-if pid:
-    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-
 import contextlib, io, json, resource
 from macrofield import cli
 
@@ -339,15 +332,7 @@ print(json.dumps({"fit": fit, "field": field, "rss_mb": rss_kb / 1024}))
 
 
 def test_fit_and_field_check_stay_small_at_twelve_sites():
-    proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT_SCRIPT],
-        capture_output=True,
-        text=True,
-        timeout=600,
-        env=src_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = run_forked(_FOOTPRINT_SCRIPT)
     assert out["fit"]["residual"] <= 1e-10
     assert out["field"]["max_abs_error"] <= 1e-9
     assert out["rss_mb"] < 200

@@ -400,6 +400,13 @@ def test_deviation_norm_variance_law():
         assert abs(got - math.sqrt(p * (1 - p) / n)) <= 1e-12
 
 
+def test_deviation_norm_reads_the_clamped_mean():
+    # <psi|P0|psi> rounds past 1 here; the count law is a point mass at k = n,
+    # so f_n equals the mean and the deviation is exactly zero
+    psi = PureState(2, np.array([1 + 4e-13, 0.0]))
+    assert deviation_norm(psi, FrequencySpec(2, op1(np.diag([1.0, 0.0]))), 10) == 0.0
+
+
 # ---------------------------------------------------------------- dense oracle
 
 

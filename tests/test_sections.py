@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     SX, SZ, I2, P1, TOL_EIG, assert_raises_before_allocating, kron_chain, naive_embed,
-    naive_perm_matrix, naive_symmetrize, rand_hermitian, spin_blocks_oracle,
+    naive_perm_matrix, naive_symmetrize, rand_hermitian, run_forked, spin_blocks_oracle,
 )
 
 from macrofield import sections
@@ -24,6 +24,7 @@ from macrofield.linalg import (
     embed_at_site,
     identity,
     permute_sites,
+    site_sum,
     spectral_norm,
 )
 from macrofield.sections import (
@@ -149,6 +150,18 @@ def test_jnm_pair_route_matches_definition():
         assert np.allclose(got, naive_extension(a, 2, 2, n), atol=1e-12)
 
 
+def test_jnm_order_two_matches_collective_sums_at_ten_sites():
+    # sum_{i != j} L^(i) M^(j) = S(L) S(M) - S(LM) over the n(n - 1) ordered
+    # pairs, with S the site sum; this reaches past the permutation-sum oracle
+    rng = np.random.default_rng(151)
+    left, right = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in "lr")
+    n = 10
+    s_l, s_r, s_lr = (site_sum(op(b), n).entries for b in (left, right, left @ right))
+    want = (s_l @ s_r - s_lr) / (n * (n - 1))
+    got = j_nm(n, 2, op(np.kron(left, right), n=2)).entries
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_jnm_placement_route_matches_definition():
     rng = np.random.default_rng(127)
     for n in (4, 5):
@@ -157,12 +170,48 @@ def test_jnm_placement_route_matches_definition():
         assert np.allclose(got, naive_extension(a, 2, 3, n), atol=1e-12)
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 3), st.data())
+def test_jnm_matches_definition_for_qubits_and_qutrits(seed, d, m, data):
+    # general complex seeds, neither Hermitian nor invariant under a site swap
+    n = data.draw(st.integers(m + 1, 5))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d**m, d**m)) + 1j * rng.standard_normal((d**m, d**m))
+    assert not np.allclose(a, a.conj().T)
+    if m > 1:
+        swap = naive_perm_matrix(d, m, (2, 1) + tuple(range(3, m + 1)))
+        assert not np.allclose(a, swap @ a @ swap)
+    got = j_nm(n, m, op(a, n=m, d=d)).entries
+    assert np.abs(got - naive_extension(a, d, m, n)).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+
 def test_jn1_route_matches_definition():
     rng = np.random.default_rng(131)
     b = rand_hermitian(rng, 2)
     for n in (2, 4, 6):
         got = j_nm(n, 1, op(b)).entries
         assert np.allclose(got, naive_extension(b, 2, 1, n), atol=1e-12)
+
+
+_DENSE_FOOTPRINT_SCRIPT = """
+import json, resource
+import numpy as np
+from macrofield.linalg import PAULI_X, PAULI_Z, Operator, SiteSpace, hermiticity_defect
+from macrofield.sections import SymmetricSection, materialize
+x, z = PAULI_X.entries, PAULI_Z.entries
+seed = Operator(SiteSpace(2, 2), (np.kron(x, z) + np.kron(z, x)) / 2)
+a = materialize(SymmetricSection(2, 2, seed), 12)
+rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"dim": a.dim, "defect": hermiticity_defect(a), "rss_mb": rss_kb / 1024}))
+"""
+
+
+def test_dense_route_holds_at_most_three_full_matrices_at_twelve_sites():
+    # one 4096 x 4096 complex matrix is 268 MB; extending a seed needs the
+    # result and the 11-site matrix it is built from
+    out = run_forked(_DENSE_FOOTPRINT_SCRIPT)
+    assert out["dim"] == 4096 and out["defect"] <= 1e-15
+    assert out["rss_mb"] < 3 * 4096**2 * 16 / 2**20
 
 
 def test_jnm_permutation_invariance_all_transpositions():

@@ -1,4 +1,4 @@
-"""Bernoulli sampling, the strong-law check, and the Boolean-to-projection map.
+"""The Bernoulli spec, the strong-law check, and the Boolean-to-projection map.
 
 Classical reference probabilities come from hand arithmetic (p, p^2, 1 - p),
 from the Hoeffding bound computed inline, and from summing event weights one
@@ -47,51 +47,16 @@ from macrofield.stochastics import (
     leaves,
     quantum_classical_agreement,
     random_expression,
-    sample_sequences,
     slln_check,
 )
 
 
-# ---------------------------------------------------------------- sampling
-
-
-def test_degenerate_biases_are_exact():
-    zeros = sample_sequences(BernoulliSpec(0.0), 8, 5, seed=1)
-    ones = sample_sequences(BernoulliSpec(1.0), 8, 5, seed=1)
-    assert not zeros.any()
-    assert ones.all()
-    assert zeros.shape == (5, 8)
-
-
-def test_sampling_reproducible_bit_for_bit():
-    a = sample_sequences(BernoulliSpec(0.37), 100, 50, seed=99)
-    b = sample_sequences(BernoulliSpec(0.37), 100, 50, seed=99)
-    c = sample_sequences(BernoulliSpec(0.37), 100, 50, seed=100)
-    assert a.tobytes() == b.tobytes()
-    assert a.tobytes() != c.tobytes()
-
-
-def test_single_long_trial_mean_tight():
-    # Hoeffding: the mean strays beyond 0.02 with probability <= 2e^-8
-    row = sample_sequences(BernoulliSpec(0.5), 10_000, 1, seed=7)
-    assert abs(row.mean() - 0.5) <= 0.02
-
-
-def test_block_split_does_not_change_stream():
-    # n large enough to force several internal blocks
-    big = sample_sequences(BernoulliSpec(0.4), 1 << 21, 3, seed=5)
-    rng = np.random.Generator(np.random.Philox(5))
-    direct = (rng.random((3, 1 << 21)) < 0.4).astype(np.uint8)
-    assert np.array_equal(big, direct)
+# ------------------------------------------------------------ Bernoulli spec
 
 
 def test_sample_validation():
     with pytest.raises(ValueError):
         BernoulliSpec(1.2)
-    with pytest.raises(ValueError):
-        sample_sequences(BernoulliSpec(0.5), 0, 3, seed=0)
-    with pytest.raises(ValueError):
-        sample_sequences(BernoulliSpec(0.5), 3, 0, seed=0)
 
 
 # ---------------------------------------------------------------- strong law
@@ -128,7 +93,7 @@ def test_slln_count_route_matches_exact_mass_and_bit_route():
     )
     assert abs(exact - 0.7704) <= 1e-4
     by_counts = slln_check(BernoulliSpec(p), n, trials, delta, seed=3).hit_fraction
-    sums = sample_sequences(BernoulliSpec(p), n, trials, seed=3).sum(axis=1)
+    sums = (np.random.Generator(np.random.Philox(3)).random((trials, n)) < p).sum(axis=1)
     by_bits = np.count_nonzero(np.abs(sums / n - p) <= delta) / trials
     assert abs(by_counts - exact) <= 0.015
     assert abs(by_bits - exact) <= 0.015
