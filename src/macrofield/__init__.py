@@ -34,7 +34,7 @@ _EXPORTS = {
     "sections": (
         "SymmetricSection", "PerturbedSection", "FrequencySpec",
         "symmetrize", "j_nm", "materialize", "frequency_operator", "frequency_section",
-        "OrderTooLarge", "BadOrder", "DecayBoundViolated",
+        "BadOrder", "DecayBoundViolated",
     ),
     "states": (
         "DensityMatrix", "BlochVector", "PureState", "NSiteState",

@@ -2,22 +2,20 @@
 
 A "section" is a rule n |-> A_n built from a fixed m-site seed: the seed is
 padded with identities to n sites and averaged over all site permutations.
-Two dense routes evaluate that average: a one-site seed is a site sum over n,
-and a seed of order m >= 2 grows by the composition law
-j_{k+1,m} = j_{k+1,k} o j_{k,m}, one identity site at a time, each step the
-average over the k + 1 places where the new site can go.  The tests check both
-against direct permutation averaging of the padded seed (`naive_extension`),
-for qubits and qutrits, and against the composition law itself.  Qubit
-sections of order <= 2 also have a block form on the total-spin irreps,
-without a dense matrix: band k of each block is the seed's entries against
-one closed-form table (`_unit_bands`), which `spin_blocks` assembles and the
-field check reads the diagonal of.
+`symmetrize` averages over S_m from m(m - 1)/2 transpositions, so only the
+dense cap d^n <= 4096 bounds m.  A one-site seed then extends as a site sum
+over n, and a longer one by the composition law j_{k+1,m} = j_{k+1,k} o
+j_{k,m}, each step the average over the k + 1 places of a new identity site.
+The tests check all three routes against direct permutation averaging, for
+qubits and qutrits.  Qubit sections of order <= 2 also have a block form on
+the total-spin irreps, without a dense matrix: band k of each block is the
+seed's entries against one closed-form table (`_unit_bands`), which
+`spin_blocks` assembles and the field check reads the diagonal of.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,10 +34,6 @@ from .linalg import (
 )
 
 
-class OrderTooLarge(MacrofieldError):
-    pass
-
-
 class BadOrder(MacrofieldError):
     pass
 
@@ -48,32 +42,37 @@ class DecayBoundViolated(MacrofieldError):
     pass
 
 
-# direct permutation averaging is n! work; beyond this an extension route is required
-DEFAULT_SYMMETRIZE_ORDER = 8
-DEFAULT_SEED_ORDER = 3
 # site cap of the total-spin block route; a sweep up to it takes under half a minute
 MAX_BLOCK_SITES = 256
 
 
-def symmetrize(a: Operator) -> Operator:
-    """Average a over all n! site permutations.
+def _swap_average(t: np.ndarray, k: int) -> np.ndarray:
+    # t and its transposes that swap site k with each later site, on the row
+    # and the column legs alike, averaged
+    m = t.ndim // 2
+    out = t.copy()
+    for j in range(k + 1, m):
+        axes = list(range(2 * m))
+        axes[j], axes[k], axes[m + j], axes[m + k] = k, j, m + k, m + j
+        out += t.transpose(axes)
+    out /= m - k
+    return out
 
-    Each permutation acts as an axis transpose of the 2n-legged tensor, so no
-    permutation matrices are built; still n! terms, hence the order cap.
+
+def symmetrize(a: Operator) -> Operator:
+    """Average a over all n! site permutations, from n(n - 1)/2 transpositions.
+
+    Jucys' identity sum_{sigma in S_n} sigma = prod_{k<n} (1 + sum_{j>k} (k j))
+    (Rep. Math. Phys. 5, 107 (1974)) has commuting factors: the k = 1 factor
+    reads a into the result, and the rest run in place on site 1's d^2 blocks.
     """
-    n = a.space.n
-    if n > DEFAULT_SYMMETRIZE_ORDER:
-        raise OrderTooLarge(f"permutation sum capped at order {DEFAULT_SYMMETRIZE_ORDER}, got {n}")
-    if n == 1:
-        return a
-    d = a.space.d
-    t = a.entries.reshape((d,) * (2 * n))
-    acc = np.zeros_like(t)
-    for perm in itertools.permutations(range(n)):
-        axes = perm + tuple(p + n for p in perm)
-        acc += t.transpose(axes)
-    acc /= math.factorial(n)
-    return Operator(a.space, acc.reshape(a.dim, a.dim), copy=False)
+    n, d = a.space.n, a.space.d
+    t = _swap_average(a.entries.reshape((d,) * (2 * n)), 0)
+    for row, col in itertools.product(range(d), repeat=2):
+        block = t[(row,) + (slice(None),) * (n - 1) + (col,)]
+        for k in range(n - 2):
+            block[...] = _swap_average(block, k)
+    return Operator(a.space, t.reshape(a.dim, a.dim), copy=False)
 
 
 def _insert_identities(seed_sym: np.ndarray, d: int, m: int, n: int) -> np.ndarray:
@@ -102,17 +101,10 @@ def j_nm(n: int, m: int, a_m: Operator) -> Operator:
         raise BadOrder(f"need n >= m >= 1, got n={n}, m={m}")
     if a_m.space.n != m:
         raise SpaceMismatch(f"seed lives on {a_m.space.n} sites, expected {m}")
-    if n == m:
-        return symmetrize(a_m)
-    if m > DEFAULT_SEED_ORDER:
-        raise OrderTooLarge(f"seed order {m} beyond the configured cap {DEFAULT_SEED_ORDER}")
-    d = a_m.space.d
-    space = SiteSpace(d, n)
     if m == 1:
-        arr = site_sum(a_m, n).entries / n
-    else:
-        arr = _insert_identities(symmetrize(a_m).entries, d, m, n)
-    return Operator(space, arr, copy=False)
+        return site_sum(Operator(a_m.space, a_m.entries / n, copy=False), n)
+    space = SiteSpace(a_m.space.d, n)
+    return Operator(space, _insert_identities(symmetrize(a_m).entries, space.d, m, n), copy=False)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from macrofield.sections import (
     BadOrder,
     DecayBoundViolated,
     FrequencySpec,
-    OrderTooLarge,
     PerturbedSection,
     SymmetricSection,
     frequency_operator,
@@ -95,16 +94,55 @@ def test_symmetrize_matches_naive_oracle():
         assert np.allclose(got, naive_symmetrize(a, 2, n), atol=1e-13)
 
 
-def test_symmetrize_order_cap(monkeypatch):
-    with pytest.raises(OrderTooLarge):
-        symmetrize(identity(SiteSpace(2, 9)))
-    # the cap is read at call time, in both directions
-    monkeypatch.setattr(sections, "DEFAULT_SYMMETRIZE_ORDER", 2)
-    with pytest.raises(OrderTooLarge):
-        symmetrize(identity(SiteSpace(2, 3)))
-    monkeypatch.setattr(sections, "DEFAULT_SYMMETRIZE_ORDER", 5)
-    out = symmetrize(identity(SiteSpace(2, 5)))
-    assert np.allclose(out.entries, np.eye(32), atol=0)
+def _rand_complex(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 5))
+def test_symmetrize_matches_naive_oracle_for_qubits_and_qutrits(seed, d, n):
+    # general complex input, not Hermitian; n = 1 is the identity map
+    a = _rand_complex(np.random.default_rng(seed), d**n)
+    assert not np.allclose(a, a.conj().T)
+    got = symmetrize(op(a, n=n, d=d)).entries
+    assert np.abs(got - naive_symmetrize(a, d, n)).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_symmetrize_is_invariant_and_idempotent_past_the_oracle(n):
+    # the swap (1 2) and the n-cycle generate S_n, so invariance under both
+    # is invariance under every site permutation
+    a = _rand_complex(np.random.default_rng(n), 2**n)
+    sym = symmetrize(op(a, n=n))
+    tol = 1e-12 * max(1.0, np.abs(a).max())
+    swap = [2, 1] + list(range(3, n + 1))
+    cycle = list(range(2, n + 1)) + [1]
+    for perm in (swap, cycle):
+        assert np.abs(permute_sites(sym, perm).entries - sym.entries).max() <= tol
+    assert np.abs(symmetrize(sym).entries - sym.entries).max() <= tol
+    # the trace is a sum over orbits of basis states, each kept whole
+    assert abs(np.trace(sym.entries) - np.trace(a)) <= tol * 2**n
+
+
+_SYMMETRIZE_FOOTPRINT_SCRIPT = """
+import json, resource
+import numpy as np
+from macrofield.linalg import Operator, SiteSpace
+from macrofield.sections import symmetrize
+a = np.empty((4096, 4096), dtype=complex)
+np.random.default_rng(5).standard_normal(out=a.view(np.float64))
+sym = symmetrize(Operator(SiteSpace(2, 12), a, copy=False))
+rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+drift = abs(np.trace(sym.entries) - np.trace(a)) / np.abs(a).max()
+print(json.dumps({"drift": drift, "rss_mb": rss_kb / 1024}))
+"""
+
+
+def test_symmetrize_holds_under_three_full_matrices_at_twelve_sites():
+    # the input, the result and a quarter of it for the in-place factors
+    out = run_forked(_SYMMETRIZE_FOOTPRINT_SCRIPT)
+    assert out["drift"] <= 1e-12 * 4096
+    assert out["rss_mb"] < 3 * 4096**2 * 16 / 2**20
 
 
 # --------------------------------------------------------------------- j_nm
@@ -176,11 +214,18 @@ def test_jnm_matches_definition_for_qubits_and_qutrits(seed, d, m, data):
     # general complex seeds, neither Hermitian nor invariant under a site swap
     n = data.draw(st.integers(m + 1, 5))
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d**m, d**m)) + 1j * rng.standard_normal((d**m, d**m))
+    a = _rand_complex(rng, d**m)
     assert not np.allclose(a, a.conj().T)
     if m > 1:
         swap = naive_perm_matrix(d, m, (2, 1) + tuple(range(3, m + 1)))
         assert not np.allclose(a, swap @ a @ swap)
+    got = j_nm(n, m, op(a, n=m, d=d)).entries
+    assert np.abs(got - naive_extension(a, d, m, n)).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+@pytest.mark.parametrize("d, m, n", [(2, 4, 6), (2, 5, 6), (2, 6, 6), (3, 4, 5), (3, 5, 5)])
+def test_jnm_matches_definition_at_seed_orders_four_to_six(d, m, n):
+    a = _rand_complex(np.random.default_rng([d, m, n]), d**m)
     got = j_nm(n, m, op(a, n=m, d=d)).entries
     assert np.abs(got - naive_extension(a, d, m, n)).max() <= 1e-12 * max(1.0, np.abs(a).max())
 
@@ -212,6 +257,24 @@ def test_dense_route_holds_at_most_three_full_matrices_at_twelve_sites():
     out = run_forked(_DENSE_FOOTPRINT_SCRIPT)
     assert out["dim"] == 4096 and out["defect"] <= 1e-15
     assert out["rss_mb"] < 3 * 4096**2 * 16 / 2**20
+
+
+_SITE_SUM_FOOTPRINT_SCRIPT = """
+import json, resource
+from macrofield.linalg import PAULI_X, hermiticity_defect
+from macrofield.sections import j_nm
+a = j_nm(12, 1, PAULI_X)
+rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"dim": a.dim, "defect": hermiticity_defect(a), "rss_mb": rss_kb / 1024}))
+"""
+
+
+def test_order_one_route_holds_one_full_matrix_at_twelve_sites():
+    # the seed is divided by n before the site sum, so the result is the only
+    # 4096 x 4096 array; half of one more is headroom for the interpreter
+    out = run_forked(_SITE_SUM_FOOTPRINT_SCRIPT)
+    assert out["dim"] == 4096 and out["defect"] == 0.0
+    assert out["rss_mb"] < 1.5 * 4096**2 * 16 / 2**20
 
 
 def test_jnm_permutation_invariance_all_transpositions():
@@ -257,15 +320,6 @@ def test_jnm_bad_order():
         j_nm(1, 2, op(np.eye(4), n=2))
     with pytest.raises(BadOrder):
         j_nm(0, 0, op(I2))
-
-
-def test_jnm_seed_order_cap(monkeypatch):
-    seed = identity(SiteSpace(2, 4))
-    with pytest.raises(OrderTooLarge):
-        j_nm(6, 4, seed)
-    monkeypatch.setattr(sections, "DEFAULT_SEED_ORDER", 4)
-    out = j_nm(5, 4, seed)
-    assert np.abs(out.entries - np.eye(32)).max() <= 10 * TOL_EIG
 
 
 def test_jnm_seed_space_mismatch():
@@ -389,10 +443,6 @@ def test_spin_blocks_are_the_dense_spectrum_with_multiplicities(seed, m, data):
     assert np.abs(np.sort(eig) - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
 
 
-def _rand_seed(rng: np.random.Generator, m: int) -> np.ndarray:
-    return rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
-
-
 SWAP = naive_perm_matrix(2, 2, (2, 1))
 
 
@@ -402,7 +452,7 @@ SWAP = naive_perm_matrix(2, 2, (2, 1))
 def test_spin_blocks_match_the_matmul_oracle(m, n):
     # the band table against one-site sums multiplied out block by block,
     # for seeds neither Hermitian nor swap-symmetric
-    seed = _rand_seed(np.random.default_rng([m, n]), m)
+    seed = _rand_complex(np.random.default_rng([m, n]), 2**m)
     assert not np.allclose(seed, seed.conj().T)
     assert m == 1 or not np.allclose(seed, SWAP @ seed @ SWAP)
     got = spin_blocks(SymmetricSection(2, m, op(seed, n=m)), n)
@@ -415,7 +465,7 @@ def test_spin_blocks_match_the_matmul_oracle(m, n):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40))
 def test_spin_blocks_average_the_seed_over_the_swap(seed, n):
     # the ordered-pair sum symmetrizes: s and SWAP s SWAP give the same blocks
-    s = _rand_seed(np.random.default_rng(seed), 2)
+    s = _rand_complex(np.random.default_rng(seed), 4)
     pair = [spin_blocks(SymmetricSection(2, 2, op(t, n=2)), n) for t in (s, SWAP @ s @ SWAP)]
     for block, swapped in zip(*pair, strict=True):
         assert np.abs(block - swapped).max() <= 1e-12 * max(1.0, np.abs(block).max())
