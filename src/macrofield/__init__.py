@@ -24,12 +24,11 @@ __version__ = "0.1.0"
 # each public name, under the submodule that defines it
 _EXPORTS = {
     "linalg": (
-        "SiteSpace", "Operator", "tensor", "embed_at_site",
-        "site_sum", "spectral_norm", "commutator",
-        "permute_sites", "permutation_unitary", "identity",
+        "SiteSpace", "Operator", "embed_at_site",
+        "site_sum", "spectral_norm", "commutator", "permute_sites", "identity",
         "PAULI_X", "PAULI_Y", "PAULI_Z", "PROJ_0", "PROJ_1",
         "MacrofieldError", "MismatchedLocalDimension", "SiteOutOfRange",
-        "NotHermitian", "EigFailed", "OptimizerFailed", "SpaceMismatch", "DimensionOverflow",
+        "NotHermitian", "EigFailed", "SpaceMismatch", "DimensionOverflow",
     ),
     "sections": (
         "SymmetricSection", "PerturbedSection", "FrequencySpec",
@@ -50,13 +49,13 @@ _EXPORTS = {
     ),
     "stochastics": (
         "BernoulliSpec", "CylinderEvent", "BooleanExpr", "Leaf", "And", "Or", "Not",
-        "cylinder", "involved_sites", "random_expression", "SllnReport",
+        "cylinder", "leaves", "involved_sites", "random_expression", "SllnReport",
         "hoeffding_bound", "slln_check",
         "cylinder_to_projection", "classical_probability",
         "quantum_classical_agreement", "SiteBeyondHorizon", "TooManySites",
     ),
     "definetti": (
-        "DiscreteMixture", "FitResult", "mixture_state", "fit_mixture",
+        "DiscreteMixture", "FitResult", "mixture_state", "fit_mixture", "recover_mixture",
         "field_of_states_check", "NotSymmetric",
     ),
 }

@@ -496,11 +496,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
-    from .linalg import EigFailed, MacrofieldError, OptimizerFailed
+    from .linalg import EigFailed, MacrofieldError
     started = time.perf_counter()
     try:
         config, columns, records, summary = _COMMANDS[args.command](args)
-    except (OptimizerFailed, EigFailed) as exc:
+    except EigFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (MacrofieldError, ValueError) as exc:

@@ -38,18 +38,6 @@ from .states import (
     trace_distance,
 )
 
-__all__ = [
-    "MAX_ATOMS",
-    "MERGE_DELTA",
-    "NotSymmetric",
-    "DiscreteMixture",
-    "FitResult",
-    "mixture_state",
-    "fit_mixture",
-    "recover_mixture",
-    "field_of_states_check",
-]
-
 # atoms closer than this in trace distance are considered one atom
 MERGE_DELTA = 1e-2
 # atom cap of a mixture and of a fit's budget: a fit of that many atoms at
@@ -324,13 +312,6 @@ def _fit(t: np.ndarray, n: int, k_max: int) -> FitResult:
             ran_out = False
             break
     iterations = len(history)
-
-    # a dead atom cannot affect the state; drop it before pruning
-    live = weights > 1e-12
-    if len(atoms) > 1 and live.any() and not live.all():
-        atoms = atoms[live]
-        weights, r = _settle(t, n, atoms, weights[live])
-        prev = min(prev, float(np.linalg.norm(r)))
 
     # prune: a spurious atom left by the greedy rounds distorts the weights,
     # so retry without each atom, lightest first, and keep any retry that

@@ -48,10 +48,6 @@ class EigFailed(MacrofieldError):
     pass
 
 
-class OptimizerFailed(MacrofieldError):
-    pass
-
-
 class SpaceMismatch(MacrofieldError):
     pass
 
@@ -123,10 +119,16 @@ def _is_real(arr: np.ndarray) -> bool:
     return not np.any(arr.imag)
 
 
+def _defect(e: np.ndarray, op) -> float:
+    """max |op(e, e^dagger)| over entries, held in one array the size of e."""
+    diff = np.conjugate(e.T)
+    op(e, diff, out=diff)
+    return float(np.abs(diff, out=diff).real.max())
+
+
 def hermiticity_defect(a: Operator) -> float:
     """max |A - A^dagger| over entries."""
-    e = a.entries
-    return float(np.abs(e - e.conj().T).max())
+    return _defect(a.entries, np.subtract)
 
 
 def _embed_view(out: np.ndarray, d: int, k: int, n: int) -> np.ndarray:
@@ -151,22 +153,13 @@ def _embed_view(out: np.ndarray, d: int, k: int, n: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(out, shape=(dl, dr, d, d), strides=strides)
 
 
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with a's sites leftmost."""
-    if a.space.d != b.space.d:
-        raise MismatchedLocalDimension(
-            f"local dimensions differ: {a.space.d} vs {b.space.d}"
-        )
-    space = SiteSpace(a.space.d, a.space.n + b.space.n)
-    return Operator(space, np.kron(a.entries, b.entries), copy=False)
-
-
 def kron_power(arr: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power of a vector or a square matrix, n >= 0.
 
     Each entry is the same chain of products as in a fold of np.kron, so the
     result is bit-identical; the broadcast form skips np.kron's shape
-    handling, which dominates in the optimizer loops.
+    handling, which costs several times the arithmetic on the small factors
+    (event weights of a few sites, an atom's seed-order power) most calls take.
     """
     if n == 0:
         return np.ones((1,) * arr.ndim, dtype=arr.dtype)  # the empty product
@@ -227,13 +220,16 @@ def _norm(e: np.ndarray) -> float:
     try:
         if _is_real(e):
             r = e.real
-            if np.abs(r - r.T).max() <= TOL_HERM:
+            if _defect(r, np.subtract) <= TOL_HERM:
                 return float(np.abs(np.linalg.eigvalsh(r)).max())
-            g = np.ascontiguousarray(r).T @ np.ascontiguousarray(r)
+            # one contiguous copy, released before the eigensolver copies g
+            c = np.ascontiguousarray(r)
+            g = c.T @ c
+            del c
             return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
-        if np.abs(e - e.conj().T).max() <= TOL_HERM:
+        if _defect(e, np.subtract) <= TOL_HERM:
             return float(np.abs(np.linalg.eigvalsh(e)).max())
-        if np.abs(e + e.conj().T).max() <= TOL_HERM:
+        if _defect(e, np.add) <= TOL_HERM:
             return float(np.abs(np.linalg.eigvalsh(1j * e)).max())
         g = e.conj().T @ e
         return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
@@ -250,46 +246,24 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return Operator(a.space, diff, copy=False)
 
 
-def _check_perm(perm, n: int) -> tuple[int, ...]:
-    perm = tuple(int(x) for x in perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise SiteOutOfRange(f"{perm} is not a permutation of 1..{n}")
-    return perm
-
-
 def permute_sites(a: Operator, perm) -> Operator:
     """Conjugate by the site permutation sending site k to site perm[k-1].
 
-    Equivalent to permutation_unitary(space, perm) @ A @ its adjoint, computed
-    as an axis transpose without building the unitary.
+    Equivalent to U A U^dagger, where the 0/1 unitary U moves the basis digit
+    at site k to site perm[k-1], computed as an axis transpose without
+    building U.
     """
     n = a.space.n
     d = a.space.d
-    perm = _check_perm(perm, n)
+    perm = tuple(int(x) for x in perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise SiteOutOfRange(f"{perm} is not a permutation of 1..{n}")
     inv = [0] * n
     for k, target in enumerate(perm):
         inv[target - 1] = k
     axes = inv + [x + n for x in inv]
     t = a.entries.reshape((d,) * (2 * n)).transpose(axes)
     return Operator(a.space, np.ascontiguousarray(t).reshape(a.dim, a.dim), copy=False)
-
-
-def permutation_unitary(space: SiteSpace, perm) -> Operator:
-    """0/1 unitary realizing a site permutation on the computational basis.
-
-    Basis index digits are shuffled so that the digit at site k lands at site
-    perm[k-1]; no factorial-sized structure is built.
-    """
-    n, d, dim = space.n, space.d, space.dim
-    perm = _check_perm(perm, n)
-    idx = np.arange(dim)
-    new_idx = np.zeros(dim, dtype=np.int64)
-    for k in range(1, n + 1):
-        digit = (idx // d ** (n - k)) % d
-        new_idx += digit * d ** (n - perm[k - 1])
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    u[new_idx, idx] = 1.0
-    return Operator(space, u, copy=False)
 
 
 def _op1(entries) -> Operator:

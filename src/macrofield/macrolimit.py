@@ -22,8 +22,8 @@ from .linalg import (
     DimensionOverflow,
     MacrofieldError,
     Operator,
-    OptimizerFailed,
     SiteSpace,
+    SpaceMismatch,
     _matmul,
     _norm,
     commutator,
@@ -42,23 +42,6 @@ from .sections import (
 
 if TYPE_CHECKING:
     from .states import PureState
-
-__all__ = [
-    "MAX_COUNT_SITES",
-    "DecayRecord",
-    "NormGapRecord",
-    "WindowMassRecord",
-    "BadWindow",
-    "OptimizerFailed",
-    "commutator_decay",
-    "fit_decay_exponent",
-    "product_state_sup",
-    "norm_gap",
-    "window_projection",
-    "window_mass",
-    "born_curve",
-    "deviation_norm",
-]
 
 # site cap of the count route; a sweep up to it takes about 8 s
 MAX_COUNT_SITES = 50_000
@@ -150,7 +133,7 @@ def product_state_sup(section: SymmetricSection, n: int) -> float:
     if n < section.m:
         raise BadOrder(f"n={n} below the seed order {section.m}")
     if section.d != 2:
-        raise OptimizerFailed(f"no state chart for d={section.d} (qubits only)")
+        raise SpaceMismatch(f"no state chart for d={section.d} (qubits only)")
     m = section.m
     seed = symmetrize(section.seed).entries
     h = _coords((seed + seed.conj().T) / 2, m)

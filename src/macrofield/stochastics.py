@@ -27,32 +27,6 @@ from .linalg import (
 if TYPE_CHECKING:
     from .states import PureState
 
-__all__ = [
-    "MAX_CONSTRAINTS",
-    "MAX_ENUM_SITES",
-    "MAX_LEAVES",
-    "MAX_TRIALS",
-    "SiteBeyondHorizon",
-    "TooManySites",
-    "BernoulliSpec",
-    "CylinderEvent",
-    "BooleanExpr",
-    "Leaf",
-    "And",
-    "Or",
-    "Not",
-    "cylinder",
-    "leaves",
-    "involved_sites",
-    "random_expression",
-    "SllnReport",
-    "hoeffding_bound",
-    "slln_check",
-    "cylinder_to_projection",
-    "classical_probability",
-    "quantum_classical_agreement",
-]
-
 # cap on constraints per event and on the enumeration footprint (2^16 atoms)
 MAX_CONSTRAINTS = 16
 MAX_ENUM_SITES = 16

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from macrofield._optim import ball_starts
 from macrofield.stochastics import And, Leaf, Not, Or, involved_sites
 
 # relative tolerance of spectral decompositions and of identities built on them
@@ -57,8 +56,8 @@ def naive_embed(b: np.ndarray, k: int, n: int) -> np.ndarray:
 def naive_perm_matrix(d: int, n: int, perm: tuple[int, ...]) -> np.ndarray:
     """U with U|i_1..i_n> = |j>, j having digit i_k at site perm[k-1].
 
-    Built by an explicit loop over basis indices; independent of the
-    digit-shuffle code under test.
+    Built by an explicit loop over basis indices; independent of the axis
+    transpose of permute_sites.
     """
     dim = d**n
     u = np.zeros((dim, dim), dtype=complex)
@@ -131,17 +130,29 @@ def haar_qubit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _uniform_ball(count: int, seed: int) -> np.ndarray:
+    """count seeded points drawn uniformly from the unit ball."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((count, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v * rng.uniform(size=(count, 1)) ** (1 / 3)
+
+
+# starts of the Nelder-Mead oracle, drawn apart from the library's own starts
+NELDER_MEAD_STARTS = _uniform_ball(32, seed=20260)
+
+
 def nelder_mead_sup(fn) -> float:
     """Max of fn(rho) over qubit density matrices rho: one Nelder-Mead run
-    from each of the library's Bloch-ball starts, points outside the ball
-    projected radially onto it."""
+    from each of NELDER_MEAD_STARTS, points outside the ball projected
+    radially onto it."""
 
     def rho(p: np.ndarray) -> np.ndarray:
         x, y, z = p / max(1.0, float(np.linalg.norm(p)))
         return 0.5 * (I2 + x * SX + y * SY + z * SZ)
 
     best, converged = -math.inf, 0
-    for x0 in ball_starts():
+    for x0 in NELDER_MEAD_STARTS:
         res = minimize(
             lambda p: -fn(rho(p)),
             x0,

@@ -8,6 +8,7 @@ and the byte-stability of seeded JSON reports.
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -19,13 +20,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_raises_before_allocating, binom_window_mass, run_forked, src_env
+from conftest import (
+    SRC_DIR, assert_raises_before_allocating, binom_window_mass, run_forked, src_env
+)
 
+import macrofield
 import macrofield.cli as cli
 from macrofield import definetti, macrolimit, sections, stochastics
 from macrofield._optim import MAX_CHART_SITES
 from macrofield.definetti import MAX_ATOMS, MERGE_DELTA
-from macrofield.linalg import EigFailed, MacrofieldError, OptimizerFailed
+from macrofield.linalg import EigFailed, MacrofieldError
 from macrofield.macrolimit import MAX_COUNT_SITES
 from macrofield.sections import MAX_BLOCK_SITES
 from macrofield.stochastics import MAX_LEAVES
@@ -286,6 +290,22 @@ def test_cli_entry_point_starts_serial_blas_behind_a_lazy_namespace():
         assert _start(*argv)["loaded"] == ["macrofield.cli"], argv
 
 
+def test_public_names_are_declared_once():
+    # the lazy namespace's _EXPORTS is the one list of public names; cli, which
+    # that namespace does not load, declares its own
+    binders = sorted(
+        path.name
+        for path in (SRC_DIR / "macrofield").glob("*.py")
+        if any(
+            isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert binders == ["__init__.py", "cli.py"]
+    # names the routes run, which resolve through the namespace test above
+    assert {"recover_mixture", "leaves"} <= set(macrofield.__all__)
+
+
 # the package modules each subcommand loads besides cli and numpy: its route
 # and the layers that route runs, and states where a parser builds a state
 _ROUTES = {
@@ -492,12 +512,6 @@ def test_help_exits_0():
 
 
 def test_numerical_failure_exits_3(monkeypatch, capsys):
-    def sup_fails(*args, **kwargs):
-        raise OptimizerFailed("no start converged")
-
-    monkeypatch.setattr(macrolimit, "norm_gap", sup_fails)
-    assert cli.run(["norm-gap", "--section", "avg(Z)", "--n", "2..3"]) == 3
-
     def eig_fails(*args, **kwargs):
         raise EigFailed("eigensolver diverged")
 

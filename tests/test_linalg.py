@@ -7,12 +7,12 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (
-    SX, SY, SZ, I2, P1, TOL_EIG, kron_chain, naive_embed, naive_perm_matrix, rand_hermitian
+    SX, SY, SZ, I2, P1, TOL_EIG, naive_embed, naive_perm_matrix, rand_hermitian, run_forked
 )
 
 from macrofield.linalg import (
@@ -28,16 +28,15 @@ from macrofield.linalg import (
     SiteOutOfRange,
     SiteSpace,
     SpaceMismatch,
+    _norm,
     commutator,
     embed_at_site,
     identity,
     hermiticity_defect,
     kron_power,
-    permutation_unitary,
     permute_sites,
     site_sum,
     spectral_norm,
-    tensor,
 )
 
 S1 = SiteSpace(2, 1)
@@ -124,56 +123,6 @@ def test_operator_shape_check():
         Operator(SiteSpace(2, 2), np.eye(3))
 
 
-# ------------------------------------------------------------------- tensor
-
-
-def test_tensor_identity_case():
-    out = tensor(op(I2), op(I2))
-    assert np.array_equal(out.entries, np.eye(4))
-    assert out.space == SiteSpace(2, 2)
-
-
-def test_tensor_projector_case():
-    out = tensor(op(np.diag([1.0, 0.0])), op(np.diag([1.0, 0.0])))
-    assert np.array_equal(out.entries, np.diag([1.0, 0, 0, 0]))
-
-
-def test_tensor_sx_sz_hand_oracle():
-    # 4x4 Kronecker product written out by hand
-    expected = np.array(
-        [
-            [0, 0, 1, 0],
-            [0, 0, 0, -1],
-            [1, 0, 0, 0],
-            [0, -1, 0, 0],
-        ],
-        dtype=complex,
-    )
-    out = tensor(op(SX), op(SZ))
-    assert np.array_equal(out.entries, expected)
-
-
-def test_tensor_rejects_mixed_local_dimension():
-    with pytest.raises(MismatchedLocalDimension):
-        tensor(op(SX), op(np.eye(3), n=1, d=3))
-
-
-def test_tensor_associative_exact():
-    # dyadic entries make every intermediate product exact, so the two
-    # groupings must agree bit for bit
-    rng = np.random.default_rng(11)
-
-    def dyadic():
-        re = rng.integers(-4, 5, size=(2, 2)) / 4
-        im = rng.integers(-4, 5, size=(2, 2)) / 4
-        return op(re + 1j * im)
-
-    a, b, c = dyadic(), dyadic(), dyadic()
-    left = tensor(tensor(a, b), c)
-    right = tensor(a, tensor(b, c))
-    assert np.array_equal(left.entries, right.entries)
-
-
 # -------------------------------------------------------------------- embed
 
 
@@ -207,7 +156,7 @@ def test_embed_site_bounds():
     with pytest.raises(SiteOutOfRange):
         embed_at_site(op(SX), 3, 2)
     with pytest.raises(SpaceMismatch):
-        embed_at_site(tensor(op(SX), op(SX)), 1, 3)
+        embed_at_site(op(np.kron(SX, SX), n=2), 1, 3)
 
 
 def test_embed_preserves_spectral_norm():
@@ -286,6 +235,70 @@ def test_norm_diagonal_complex_entries():
     assert abs(spectral_norm(o) - sing[0]) < 1e-15
 
 
+def _norm_input(kind: str, seed: int, dim: int) -> np.ndarray:
+    re, im = np.random.default_rng(seed).standard_normal((2, dim, dim))
+    z = re + 1j * im
+    return {
+        "real": re + 0j,
+        "real symmetric": re + re.T + 0j,
+        "real antisymmetric": re - re.T + 0j,
+        "hermitian": z + z.conj().T,
+        "anti-hermitian": z - z.conj().T,
+        "complex": z,
+    }[kind]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 48),
+    st.sampled_from(
+        ["real", "real symmetric", "real antisymmetric", "hermitian", "anti-hermitian", "complex"]
+    ),
+)
+def test_each_norm_route_is_the_largest_singular_value(seed, dim, kind):
+    a = _norm_input(kind, seed, dim)
+    want = np.linalg.svd(a, compute_uv=False)[0]
+    assert abs(_norm(a) - want) <= 1e-12 * want
+
+
+_NORM_FOOTPRINT_SCRIPT = """
+import json, resource
+import numpy as np
+from macrofield.linalg import _norm
+dim, block, kind = 2048, 256, "{kind}"
+rng = np.random.default_rng(17)
+e = np.empty((dim, dim), dtype=complex)
+# filled a block at a time, so that building the input leaves no full temporaries
+for i in range(0, dim, block):
+    rows = rng.standard_normal((block, dim))
+    e[i:i + block] = rows if kind == "real" else rows + 1j * rng.standard_normal((block, dim))
+if kind == "hermitian":
+    for i in range(0, dim, block):
+        for j in range(i, dim, block):
+            a, b = e[i:i + block, j:j + block].copy(), e[j:j + block, i:i + block].copy()
+            e[i:i + block, j:j + block] = (a + b.conj().T) / 2
+            e[j:j + block, i:i + block] = (b + a.conj().T) / 2
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+_norm(e)
+above = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(json.dumps({{"above_mb": above / 1024, "matrix_mb": e.nbytes / 2**20}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, bound",
+    # in units of the complex input: for a real non-symmetric one, a real copy
+    # and its Gram matrix, which the eigensolver copies once more, are each
+    # half of it; for a complex Hermitian one, the eigensolver's copy of the
+    # input reuses the buffer of the symmetry test
+    [("real", 1.25), ("hermitian", 1.5)],
+)
+def test_norm_holds_few_copies_beyond_its_input(kind, bound):
+    out = run_forked(_NORM_FOOTPRINT_SCRIPT.format(kind=kind))
+    assert out["above_mb"] < bound * out["matrix_mb"]
+
+
 # --------------------------------------------------------------- commutator
 
 
@@ -302,7 +315,7 @@ def test_commutator_pauli_oracle():
 
 def test_commutator_space_mismatch():
     with pytest.raises(SpaceMismatch):
-        commutator(op(SX), tensor(op(SX), op(SX)))
+        commutator(op(SX), op(np.kron(SX, SX), n=2))
 
 
 def test_commutator_hermitian_shortcut_agrees():
@@ -326,34 +339,16 @@ def test_commutator_anti_hermitian():
 # ------------------------------------------------------------- permutations
 
 
-def test_permutation_unitary_matches_naive():
-    for n in (2, 3):
-        space = SiteSpace(2, n)
-        for perm in itertools.permutations(range(1, n + 1)):
-            got = permutation_unitary(space, perm).entries
-            assert np.array_equal(got, naive_perm_matrix(2, n, perm))
-
-
 def test_permute_sites_equals_conjugation():
     rng = np.random.default_rng(67)
     space = SiteSpace(2, 3)
     a = rand_hermitian(rng, 8)
     o = Operator(space, a)
     for perm in itertools.permutations((1, 2, 3)):
-        u = permutation_unitary(space, perm).entries
+        u = naive_perm_matrix(2, 3, perm)
         expected = u @ a @ u.conj().T
         got = permute_sites(o, perm).entries
         assert np.abs(got - expected).max() <= 1e-14
-
-
-def test_permutation_unitary_composition():
-    space = SiteSpace(2, 3)
-    sigma = (2, 3, 1)
-    tau = (3, 2, 1)
-    u_sigma = permutation_unitary(space, sigma).entries
-    u_tau = permutation_unitary(space, tau).entries
-    composite = tuple(sigma[t - 1] for t in tau)
-    assert np.array_equal(u_sigma @ u_tau, permutation_unitary(space, composite).entries)
 
 
 def test_permute_sites_rejects_non_permutation():

@@ -31,13 +31,19 @@ from conftest import (
     nelder_mead_sup,
 )
 from macrofield.linalg import (
-    DimensionOverflow, Operator, SiteSpace, commutator, identity, site_sum, spectral_norm
+    DimensionOverflow,
+    Operator,
+    SiteSpace,
+    SpaceMismatch,
+    commutator,
+    identity,
+    site_sum,
+    spectral_norm,
 )
 from macrofield.macrolimit import (
     MAX_COUNT_SITES,
     BadWindow,
     DecayRecord,
-    OptimizerFailed,
     born_curve,
     commutator_decay,
     deviation_norm,
@@ -170,7 +176,7 @@ def test_sup_validations(monkeypatch):
     with pytest.raises(BadOrder):
         product_state_sup(sym2_section(SX, SX), 1)
     big = SymmetricSection(5, 1, Operator(SiteSpace(5, 1), np.eye(5, dtype=complex)))
-    with pytest.raises(OptimizerFailed):
+    with pytest.raises(SpaceMismatch):
         product_state_sup(big, 2)
 
     def refuse(*args, **kwargs):
@@ -180,7 +186,7 @@ def test_sup_validations(monkeypatch):
     monkeypatch.setattr(macrolimit, "maximize_on_ball", refuse)
     for d in (3, 4):
         seed = np.diag([1.0, 0.0, -2.0, 0.0][:d]).astype(complex)
-        with pytest.raises(OptimizerFailed):
+        with pytest.raises(SpaceMismatch):
             product_state_sup(SymmetricSection(d, 1, Operator(SiteSpace(d, 1), seed)), 2)
 
 
