@@ -26,7 +26,7 @@ import numpy as np
 
 from ._optim import _coords, _correlate, _power_grads, _powers, maximize_on_ball, project_ball
 from .linalg import DimensionOverflow, MacrofieldError, SiteSpace, SpaceMismatch, kron_power
-from .sections import BadOrder, SymmetricSection, _irreps, _unit_bands
+from .sections import BadOrder, SymmetricSection, _irreps, _sweep, _unit_bands
 from .states import (
     DensityMatrix,
     NSiteState,
@@ -343,14 +343,12 @@ def _fit(t: np.ndarray, n: int, k_max: int) -> FitResult:
     return FitResult(DiscreteMixture(pairs), final, iterations, budget_exhausted, tuple(history))
 
 
-def _block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> float | None:
-    """tr(A_n sum_i w_i rho_i^(x)n) for qubit sections of order <= 2, else None.
+def _block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> float:
+    """tr(A_n sum_i w_i rho_i^(x)n) for a qubit section of order <= 2.
     In rho's eigenbasis rho^(x)n is l0^e l1^f (0^0 = 1) at J_z = m, e = n/2 + m,
     f = n/2 - m, on each of the C(n, k) - C(n, k - 1) copies of J = n/2 - k, and
     the diagonal of A_n there is the turned seed against the band-0 table of
     _unit_bands; only real parts enter, so the table is never copied to complex."""
-    if section.d != 2 or section.m > 2:
-        return None
     sizes, _, m = _irreps(n)
     table = _unit_bands(section.m, n, 0)
     e, f = n / 2 + m, n / 2 - m
@@ -373,19 +371,19 @@ def field_of_states_check(
     mix: DiscreteMixture, section: SymmetricSection, n_list
 ) -> list[tuple[int, float, float]]:
     """Per n: (n, mixture expectation of the section, on total-spin block diagonals
-    where _block_expect has them and densely otherwise, the n-independent mixture
+    where _sweep takes the block route and densely otherwise, the n-independent mixture
     average of the limit values). They agree to 1e-9 for n >= the seed order."""
     if not isinstance(section, SymmetricSection):
         raise BadOrder("field check needs a symmetric section")
     if mix.d != section.d:
         raise SpaceMismatch(f"mixture d={mix.d} does not match section d={section.d}")
+    ns, blocks = _sweep(n_list, section)
     rhs = sum(w * a_infinity(section, rho) for w, rho in mix.atoms)
     out = []
-    for n in sorted(set(int(n) for n in n_list)):
-        if n < section.m:
-            raise BadOrder(f"n={n} below the seed order {section.m}")
-        lhs = _block_expect(mix, section, n)
-        if lhs is None:
+    for n in ns:
+        if blocks:
+            lhs = _block_expect(mix, section, n)
+        else:
             lhs = expect(mixture_state(mix, n), section.materialize(n))
         out.append((n, lhs, rhs))
     return out

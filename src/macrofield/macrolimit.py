@@ -4,10 +4,10 @@ constancy of frequency expectations on product states.
 
 Every limit claim is probed by a finite-n sweep; closed forms live in the
 tests, never here, so the two routes stay independent.  Commutator and norm
-sweeps of qubit sections of order <= 2 run on total-spin blocks
-(`sections.spin_blocks`, up to `sections.MAX_BLOCK_SITES`), and frequency
-statistics on the n + 1 weights of the outcome count (up to MAX_COUNT_SITES);
-other sections are materialized densely, up to the dense cap.
+sweeps take their route from `sections._sweep`, which checks the n list whole:
+total-spin blocks for qubit sections of order <= 2 (`sections.spin_blocks`, up
+to `sections.MAX_BLOCK_SITES`), dense matrices up to the dense cap otherwise.
+Frequency statistics run on the n + 1 outcome-count weights (MAX_COUNT_SITES).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .sections import (
     FrequencySpec,
     PerturbedSection,
     SymmetricSection,
+    _sweep,
     materialize,
     spin_blocks,
     symmetrize,
@@ -73,10 +74,6 @@ class WindowMassRecord:
     mass: float
 
 
-def _seed_order(section: SymmetricSection | PerturbedSection) -> int:
-    return section.base.m if isinstance(section, PerturbedSection) else section.m
-
-
 def commutator_decay(
     s1: SymmetricSection | PerturbedSection,
     s2: SymmetricSection | PerturbedSection,
@@ -87,17 +84,15 @@ def commutator_decay(
     Qubit symmetric sections of order <= 2 are commuted block by block on
     their total-spin blocks; any other pair goes through dense matrices.
     """
-    lo = max(_seed_order(s1), _seed_order(s2))
+    ns, blocks = _sweep(n_list, s1, s2)
     records = []
-    for n in sorted(set(int(n) for n in n_list)):
-        if n < lo:
-            raise BadOrder(f"n={n} below the seed order {lo}")
-        b1, b2 = spin_blocks(s1, n), spin_blocks(s2, n)
-        if b1 is None or b2 is None:
+    for n in ns:
+        if blocks:
+            pairs = zip(spin_blocks(s1, n), spin_blocks(s2, n))
+            value = max(_norm(x @ y - y @ x) for x, y in pairs)
+        else:
             # one expression, so no dense matrix outlives its n
             value = spectral_norm(commutator(materialize(s1, n), materialize(s2, n)))
-        else:
-            value = max(_norm(x @ y - y @ x) for x, y in zip(b1, b2))
         records.append(DecayRecord(n, value, value * n))
     return records
 
@@ -157,42 +152,38 @@ def norm_gap(section: SymmetricSection, n_list) -> list[NormGapRecord]:
     The exact norm of a qubit section of order <= 2 is the largest norm of its
     total-spin blocks; any other section is materialized densely.
     """
-    ns = sorted(set(int(n) for n in n_list))
-    if ns and ns[0] < _seed_order(section):
-        raise BadOrder(f"n={ns[0]} below the seed order {_seed_order(section)}")
-    sup = product_state_sup(section, _seed_order(section))
+    ns, blocks = _sweep(n_list, section)
+    sup = product_state_sup(section, section.m)
     records = []
     for n in ns:
-        blocks = spin_blocks(section, n)
-        exact = max(map(_norm, blocks)) if blocks else spectral_norm(materialize(section, n))
+        if blocks:
+            exact = max(map(_norm, spin_blocks(section, n)))
+        else:
+            exact = spectral_norm(materialize(section, n))
         records.append(NormGapRecord(n, exact, sup, exact - sup))
     return records
 
 
-def _count_laws(psi: PureState, spec: FrequencySpec, ns: list[int]):
-    """Law of the outcome count k = 0..n in psi^(x)n, for each n of the
-    ascending list, which may not exceed MAX_COUNT_SITES."""
+def _count_laws(psi: PureState, spec: FrequencySpec, n_list):
+    """(n, q, law of the outcome count k = 0..n in psi^(x)n) for each distinct n
+    of the list, ascending, none past MAX_COUNT_SITES; q = <psi| P |psi> is the
+    one-site probability of the outcome, clamped to [0, 1] against rounding."""
     if psi.d != spec.d:
         raise BadWindow(f"state dimension {psi.d} does not match spec {spec.d}")
+    ns = sorted(set(int(n) for n in n_list))
     if ns and ns[0] < 1:
         raise BadOrder(f"need n >= 1, got {ns[0]}")
     if ns and ns[-1] > MAX_COUNT_SITES:
         raise DimensionOverflow(f"n = {ns[-1]} exceeds the count cap {MAX_COUNT_SITES}")
-    q = _own_mean(psi, spec)
+    q = float(complex(np.vdot(psi.amplitudes, spec.projector.entries @ psi.amplitudes)).real)
+    q = min(max(q, 0.0), 1.0)
     w = np.ones(1)
     for n in ns:
         for _ in range(n + 1 - w.size):
             w = np.convolve(w, (1.0 - q, q))
             # subnormal tails cost several times a normal weight per step
             w[w < np.finfo(float).tiny] = 0.0
-        yield n, w
-
-
-def _own_mean(psi: PureState, spec: FrequencySpec) -> float:
-    """<psi| P |psi>, the one-site probability of the projector's outcome,
-    clamped to [0, 1] against rounding."""
-    p = float(complex(np.vdot(psi.amplitudes, spec.projector.entries @ psi.amplitudes)).real)
-    return min(max(p, 0.0), 1.0)
+        yield n, q, w
 
 
 def _window_mask(freq: np.ndarray, p: float, epsilon: float) -> np.ndarray:
@@ -227,9 +218,7 @@ def window_mass(
     """Weight of the product state psi^(x)n inside the frequency window around
     its own mean p = <psi| P |psi>, for each n; one walk of the count law."""
     records = []
-    for n, w in _count_laws(psi, spec, sorted(set(int(n) for n in n_list))):
-        # read after _count_laws has checked the state against the spec
-        p = _own_mean(psi, spec)
+    for n, p, w in _count_laws(psi, spec, n_list):
         mass = float(w[_window_mask(np.arange(n + 1) / n, p, epsilon)].sum())
         records.append(WindowMassRecord(n, float(epsilon), mass))
     return records
@@ -237,12 +226,10 @@ def window_mass(
 
 def born_curve(psi: PureState, spec: FrequencySpec, n_list) -> list[tuple[int, float]]:
     """Frequency-operator expectation on psi^(x)n for each n; constant in n."""
-    ns = sorted(set(int(n) for n in n_list))
-    return [(n, float(w @ np.arange(n + 1)) / n) for n, w in _count_laws(psi, spec, ns)]
+    return [(n, float(w @ np.arange(n + 1)) / n) for n, _, w in _count_laws(psi, spec, n_list)]
 
 
 def deviation_norm(psi: PureState, spec: FrequencySpec, n: int) -> float:
     """Euclidean norm of (f_n - p) psi^(x)n with p the state's own mean."""
-    [(_, w)] = _count_laws(psi, spec, [n])
-    p = _own_mean(psi, spec)
+    [(_, p, w)] = _count_laws(psi, spec, [n])
     return float(np.sqrt(w @ (np.arange(n + 1) / n - p) ** 2))

@@ -10,7 +10,8 @@ The tests check all three routes against direct permutation averaging, for
 qubits and qutrits.  Qubit sections of order <= 2 also have a block form on
 the total-spin irreps, without a dense matrix: band k of each block is the
 seed's entries against one closed-form table (`_unit_bands`), which
-`spin_blocks` assembles and the field check reads the diagonal of.
+`spin_blocks` assembles and the field check reads the diagonal of.  Sweeps
+enter through `_sweep`: one route for all n, and the whole n list checked.
 """
 
 from __future__ import annotations
@@ -142,6 +143,10 @@ class PerturbedSection:
         if self.gamma <= 0:
             raise BadOrder(f"decay exponent must be positive, got {self.gamma}")
 
+    # the base's site dimension and seed order, read-only
+    d = property(lambda self: self.base.d)
+    m = property(lambda self: self.base.m)
+
     def materialize(self, n: int) -> Operator:
         body = self.base.materialize(n)
         pert = self.perturbation(n)
@@ -196,22 +201,15 @@ def _unit_bands(m: int, n: int, k: int) -> np.ndarray:
     return table
 
 
-def spin_blocks(section: SymmetricSection | PerturbedSection, n: int) -> list[np.ndarray] | None:
+def spin_blocks(section: SymmetricSection, n: int) -> list[np.ndarray]:
     """A_n on the total-spin irreps J = n/2, n/2 - 1, ..., one (2J+1)-square
-    block per J, or None where there is no such form.
+    block per J, for a qubit symmetric section of order <= 2 and n <= MAX_BLOCK_SITES.
 
     A permutation-averaged qubit operator is block diagonal over J
     (Schur-Weyl duality) and acts alike on every copy of an irrep, so these
     blocks carry its norms and commutators; multiplicities are not needed for
     those.  Band k of the blocks is the seed's entries against _unit_bands.
-    Only qubit symmetric sections of order <= 2 have the form here;
-    PerturbedSection, d > 2 and m >= 3 get None and take the dense route.
-    n may not exceed MAX_BLOCK_SITES.
     """
-    if not (isinstance(section, SymmetricSection) and section.d == 2 and section.m <= 2):
-        return None
-    if n < section.m:
-        raise BadOrder(f"need n >= m >= 1, got n={n}, m={section.m}")
     m, sizes = section.m, _irreps(n)[0].tolist()
     bands = {k: section.seed.entries.ravel() @ _unit_bands(m, n, k) for k in range(-m, m + 1)}
     blocks, start = [], 0
@@ -222,6 +220,23 @@ def spin_blocks(section: SymmetricSection | PerturbedSection, n: int) -> list[np
         ))
         start += size
     return blocks
+
+
+def _sweep(n_list, *sections: SymmetricSection | PerturbedSection) -> tuple[list[int], bool]:
+    """The distinct n of a sweep in ascending order, and whether total-spin
+    blocks serve every section (each a qubit SymmetricSection of order <= 2)
+    rather than dense matrices.  The least n is checked against the seed
+    orders and the largest against the route's cap before any n is built."""
+    ns = sorted(set(int(n) for n in n_list))
+    blocks = all(isinstance(s, SymmetricSection) and s.d == 2 and s.m <= 2 for s in sections)
+    lo = max(s.m for s in sections)
+    if ns and ns[0] < lo:
+        raise BadOrder(f"n={ns[0]} below the seed order {lo}")
+    if ns and blocks:
+        _irreps(ns[-1])
+    elif ns:
+        SiteSpace(max(s.d for s in sections), ns[-1])
+    return ns, blocks
 
 
 @dataclass(frozen=True)
@@ -244,8 +259,6 @@ class FrequencySpec:
 
 def frequency_operator(spec: FrequencySpec, n: int) -> Operator:
     """Site average of the outcome projector: eigenvalues k/n, k = 0..n."""
-    if n < 1:
-        raise BadOrder(f"need n >= 1, got {n}")
     return j_nm(n, 1, spec.projector)
 
 

@@ -52,7 +52,13 @@ from macrofield.definetti import (
     recover_mixture,
 )
 from macrofield.linalg import DimensionOverflow, Operator, SiteSpace, SpaceMismatch, kron_power
-from macrofield.sections import MAX_BLOCK_SITES, BadOrder, PerturbedSection, SymmetricSection
+from macrofield.sections import (
+    MAX_BLOCK_SITES,
+    BadOrder,
+    PerturbedSection,
+    SymmetricSection,
+    _sweep,
+)
 from macrofield.states import (
     BlochVector,
     DensityMatrix,
@@ -753,15 +759,18 @@ def test_block_expectation_matches_the_full_spin_blocks(n):
 def test_field_check_refuses_one_past_the_block_cap():
     mix = DiscreteMixture(((0.5, ZERO), (0.5, PLUS)))
     pair = SymmetricSection(2, 2, Operator(SiteSpace(2, 2), kron_chain(SX, SZ)))
+    # the list is checked whole: n = MAX_BLOCK_SITES does not run first
     for section in (avg_section(SX), pair):
-        assert_raises_before_allocating(
-            DimensionOverflow, field_of_states_check, mix, section, [MAX_BLOCK_SITES + 1]
-        )
+        for past in ([MAX_BLOCK_SITES + 1], [MAX_BLOCK_SITES, MAX_BLOCK_SITES + 1]):
+            assert_raises_before_allocating(
+                DimensionOverflow, field_of_states_check, mix, section, past
+            )
 
 
 def test_field_check_without_blocks_stays_dense():
-    # qutrit sites and order-3 seeds have no spin_blocks; their line is the
-    # dense expectation, and the limit still holds
+    # qutrit sites and order-3 seeds have no spin_blocks, so the sweep helper
+    # sends them dense; their line is the dense expectation, and the limit
+    # still holds
     rng = np.random.default_rng(11)
     h = rand_hermitian(rng, 3)
     qutrits = DiscreteMixture(((0.5, DensityMatrix(3, np.eye(3) / 3.0)),
@@ -773,7 +782,7 @@ def test_field_check_without_blocks_stays_dense():
         (qubits, three, [3, 5, 7]),
     ):
         for n, lhs, rhs in field_of_states_check(mix, section, ns):
-            assert _block_expect(mix, section, n) is None
+            assert not _sweep([n], section)[1]
             assert abs(lhs - expect(mixture_state(mix, n), section.materialize(n))) <= 1e-12
             assert abs(lhs - rhs) <= 1e-9
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,9 @@ from conftest import (
     haar_qubit,
     kron_chain,
     nelder_mead_sup,
+    rand_hermitian,
 )
+from macrofield.definetti import DiscreteMixture, field_of_states_check
 from macrofield.linalg import (
     DimensionOverflow,
     Operator,
@@ -62,7 +65,7 @@ from macrofield.sections import (
     frequency_operator,
     materialize,
 )
-from macrofield.states import PureState, expect, pure_power
+from macrofield.states import DensityMatrix, PureState, expect, pure_power
 
 
 def op1(arr) -> Operator:
@@ -250,6 +253,9 @@ def test_norm_gap_checks_n_before_the_optimizer(monkeypatch):
     perturbed = PerturbedSection(avg_section(SZ), lambda n: identity(SiteSpace(2, n)), 1.0, 1.0)
     with pytest.raises(BadOrder):
         norm_gap(perturbed, [2, 4])
+    # one n past the block cap refuses the list before the ascent
+    with pytest.raises(DimensionOverflow):
+        norm_gap(sym2_section(SX, SZ), [2, MAX_BLOCK_SITES + 1])
 
 
 # ---------------------------------------------------------------- total-spin blocks
@@ -528,7 +534,7 @@ def test_count_law_holds_no_subnormal_weight():
     # tail weights below the smallest normal double are zeroed as the walk
     # forms them; the law keeps its n + 1 entries and its mean
     psi = PureState(2, np.array([0.8, 0.6]))
-    [(_, w)] = macrolimit._count_laws(psi, P1_SPEC, [2000])
+    [(_, _, w)] = macrolimit._count_laws(psi, P1_SPEC, [2000])
     assert w.size == 2001
     assert not np.any((w > 0.0) & (w < np.finfo(float).tiny))
     assert abs(w @ np.arange(2001) / 2000 - 0.36) <= 1e-12
@@ -542,5 +548,64 @@ def test_count_and_block_routes_refuse_one_past_their_caps():
     assert_raises_before_allocating(DimensionOverflow, born_curve, psi, spec, [1, n])
     assert_raises_before_allocating(DimensionOverflow, window_mass, psi, spec, [1, n], 0.1)
     assert_raises_before_allocating(DimensionOverflow, deviation_norm, psi, spec, n)
-    x, z, past = avg_section(SX), avg_section(SZ), [MAX_BLOCK_SITES + 1]
-    assert_raises_before_allocating(DimensionOverflow, commutator_decay, x, z, past)
+    # a block sweep up to the cap takes tens of seconds; its list is checked
+    # whole, so none of it runs
+    x, z, xz = avg_section(SX), avg_section(SZ), sym2_section(SX, SZ)
+    top = MAX_BLOCK_SITES + 1
+    for past in ([top], [top - 1, top], range(2, top + 1)):
+        assert_raises_before_allocating(DimensionOverflow, commutator_decay, x, z, past)
+        assert_raises_before_allocating(DimensionOverflow, norm_gap, xz, past)
+
+
+def _qutrit_section(rng: np.random.Generator, m: int) -> SymmetricSection:
+    return SymmetricSection(3, m, Operator(SiteSpace(3, m), rand_hermitian(rng, 3**m)))
+
+
+def test_dense_sweeps_refuse_past_4096_rows_before_the_first_n():
+    # the n below the last run for seconds and hundreds of MB on this route
+    rng = np.random.default_rng(5)
+    q1, q2 = _qutrit_section(rng, 1), _qutrit_section(rng, 1)
+    assert_raises_before_allocating(DimensionOverflow, commutator_decay, q1, q2, [7, 8])
+    mix = DiscreteMixture(((1.0, DensityMatrix(3, np.eye(3) / 3)),))
+    assert_raises_before_allocating(DimensionOverflow, field_of_states_check, mix, q1, [7, 8])
+    xzx = SymmetricSection(2, 3, Operator(SiteSpace(2, 3), kron_chain(SX, SZ, SX)))
+    assert_raises_before_allocating(DimensionOverflow, norm_gap, xzx, range(3, 14))
+
+
+def _route_sweeps(route: str):
+    """The sweeps of one route, each a function of the n list; the least n
+    they admit; and the first n past the route's cap."""
+    if route == "block":
+        s1, s2 = sym2_section(SX, SZ), avg_section(SY)
+        mix = DiscreteMixture(((0.5, DensityMatrix(2, P1)), (0.5, DensityMatrix(2, (I2 + SX) / 2))))
+        sweeps = [partial(commutator_decay, s1, s2), partial(norm_gap, s1)]
+        return sweeps + [partial(field_of_states_check, mix, s1)], 2, MAX_BLOCK_SITES + 1
+    if route == "dense":
+        rng = np.random.default_rng(3)
+        s1, s2 = _qutrit_section(rng, 2), _qutrit_section(rng, 1)
+        mix = DiscreteMixture(((0.5, DensityMatrix(3, np.eye(3) / 3)),
+                               (0.5, DensityMatrix(3, np.diag([1.0, 0.0, 0.0])))))
+        return [partial(commutator_decay, s1, s2), partial(field_of_states_check, mix, s1)], 2, 8
+    psi = PureState(2, np.array([0.8, 0.6]))
+    sweeps = [partial(born_curve, psi, P1_SPEC), lambda ns: window_mass(psi, P1_SPEC, ns, 0.1)]
+    return sweeps, 1, MAX_COUNT_SITES + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["block", "dense", "count"]), st.data())
+def test_sweeps_order_their_list_and_refuse_it_whole(route, data):
+    # an unordered list with repeats gives one record per distinct n, in
+    # ascending order, each equal to that n swept alone; one n below the seed
+    # order or past the route's cap refuses the whole list before any n runs
+    sweeps, lo, past = _route_sweeps(route)
+    ns = data.draw(st.lists(st.integers(lo, 5 if route == "dense" else 16), min_size=1, max_size=8))
+    bad = data.draw(st.sampled_from([lo - 1, past]))
+    bad_ns = data.draw(st.permutations(ns + [bad]))
+    # the supremum is not under test here; skip its optimizer
+    with mock.patch.object(macrolimit, "maximize_on_ball", lambda fn: (np.zeros(3), 0.0)):
+        for sweep in sweeps:
+            want = [rec for n in sorted(set(ns)) for rec in sweep([n])]
+            assert len(want) == len(set(ns))
+            assert sweep(ns) == want
+            exc = BadOrder if bad < lo else DimensionOverflow
+            assert_raises_before_allocating(exc, sweep, bad_ns)

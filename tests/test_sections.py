@@ -474,11 +474,12 @@ def test_spin_blocks_average_the_seed_over_the_swap(seed, n):
 def test_spin_blocks_only_for_qubit_sections_of_order_two_or_less():
     base = SymmetricSection(2, 1, op(SZ))
     perturbed = PerturbedSection(base, lambda n: identity(SiteSpace(2, n)), 1.0, 1.0)
-    assert spin_blocks(perturbed, 3) is None
-    assert spin_blocks(SymmetricSection(3, 1, op(np.eye(3), d=3)), 3) is None
-    assert spin_blocks(SymmetricSection(2, 3, op(np.eye(8), n=3)), 3) is None
+    # the sweep helper's route flag: False sends a sweep to dense matrices
+    assert not sections._sweep([3], perturbed)[1]
+    assert not sections._sweep([3], SymmetricSection(3, 1, op(np.eye(3), d=3)))[1]
+    assert not sections._sweep([3], SymmetricSection(2, 3, op(np.eye(8), n=3)))[1]
     with pytest.raises(BadOrder):
-        spin_blocks(SymmetricSection(2, 2, op(np.eye(4), n=2)), 1)
+        sections._sweep([1], SymmetricSection(2, 2, op(np.eye(4), n=2)))
 
 
 def test_block_and_dense_routes_refuse_one_past_their_caps():
