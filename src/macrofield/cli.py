@@ -164,7 +164,8 @@ def _clean(value):
 
 
 # ------------------------------------------------------------- subcommands
-# each handler returns (config echo, column names, records, summary)
+# each handler returns (config echo, records, summary); the CSV columns are
+# the first record's keys, in order
 
 
 def _cmd_born_converge(args):
@@ -184,7 +185,7 @@ def _cmd_born_converge(args):
         "n_list": n_list,
         "tol": args.tol,
     }
-    return config, ("n", "value", "born", "abs_error"), records, {
+    return config, records, {
         "max_abs_error": worst,
         "ok": worst <= args.tol,
     }
@@ -202,9 +203,7 @@ def _cmd_commutator_decay(args):
     ]
     exponent = fit_decay_exponent(recs)
     config = {"seed1": canon1, "seed2": canon2, "n_list": n_list}
-    return config, ("n", "value", "scaled"), records, {
-        "fitted_exponent": _clean(exponent)
-    }
+    return config, records, {"fitted_exponent": _clean(exponent)}
 
 
 def _cmd_norm_gap(args):
@@ -223,7 +222,7 @@ def _cmd_norm_gap(args):
     ]
     gaps = [r["gap"] for r in records]
     config = {"section": canon, "n_list": n_list}
-    return config, ("n", "exact_norm", "product_sup", "gap"), records, {
+    return config, records, {
         "min_gap": min(gaps),
         "max_gap": max(gaps),
     }
@@ -244,7 +243,7 @@ def _cmd_window_mass(args):
         "epsilon": args.epsilon,
         "n_list": n_list,
     }
-    return config, ("n", "epsilon", "mass"), records, {
+    return config, records, {
         "born": float(abs(psi.amplitudes[args.lam]) ** 2),
         "final_mass": records[-1]["mass"],
     }
@@ -270,8 +269,7 @@ def _cmd_slln_mc(args):
         "delta": args.delta,
         "rng_seed": args.rng_seed,
     }
-    cols = ("p", "horizon", "trials", "delta", "hit_fraction", "hoeffding_bound")
-    return config, cols, [record], {}
+    return config, [record], {}
 
 
 def _cmd_boolean_check(args):
@@ -309,8 +307,7 @@ def _cmd_boolean_check(args):
         "rng_seed": args.rng_seed,
         "tol": args.tol,
     }
-    cols = ("instance", "sites", "leaves", "quantum", "classical", "abs_error")
-    return config, cols, records, {"max_abs_error": worst, "ok": worst <= args.tol}
+    return config, records, {"max_abs_error": worst, "ok": worst <= args.tol}
 
 
 def _cmd_definetti_fit(args):
@@ -330,7 +327,7 @@ def _cmd_definetti_fit(args):
             {"atom": idx, "weight": float(w), "x": b.x, "y": b.y, "z": b.z}
         )
     config = {"atoms": canon, "sites": args.sites, "k_max": args.k_max}
-    return config, ("atom", "weight", "x", "y", "z"), records, {
+    return config, records, {
         "residual": float(result.residual),
         "iterations": int(result.iterations),
         "budget_exhausted": bool(result.budget_exhausted),
@@ -350,7 +347,7 @@ def _cmd_field_check(args):
     ]
     worst = max(r["abs_error"] for r in records)
     config = {"atoms": canon, "section": canon_sec, "n_list": n_list, "tol": args.tol}
-    return config, ("n", "lhs", "rhs", "abs_error"), records, {
+    return config, records, {
         "limit_value": records[0]["rhs"],
         "max_abs_error": worst,
         "ok": worst <= args.tol,
@@ -470,10 +467,11 @@ def _fmt_plain(value) -> str:
     return str(value)
 
 
-def _render_csv(report: dict, columns) -> str:
+def _render_csv(report: dict) -> str:
     lines = [f"# command={report['command']}", f"# version={report['version']}"]
     for key in sorted(report["config"]):
         lines.append(f"# {key}={_fmt_plain(report['config'][key])}")
+    columns = list(report["records"][0])
     lines.append(",".join(columns))
     for rec in report["records"]:
         lines.append(",".join(_fmt_plain(rec[c]) for c in columns))
@@ -499,7 +497,7 @@ def run(argv=None) -> int:
     from .linalg import EigFailed, MacrofieldError
     started = time.perf_counter()
     try:
-        config, columns, records, summary = _COMMANDS[args.command](args)
+        config, records, summary = _COMMANDS[args.command](args)
     except EigFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -520,7 +518,7 @@ def run(argv=None) -> int:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         report["wall_time_s"] = round(time.perf_counter() - started, 6)
 
-    text = _render_csv(report, columns) if args.format == "csv" else _render_json(report)
+    text = _render_csv(report) if args.format == "csv" else _render_json(report)
     if not args.out:
         sys.stdout.write(text)
         return 0

@@ -1,21 +1,23 @@
 """Dense complex operator arithmetic on multi-site Hilbert spaces.
 
 Everything is stored as a dense complex128 matrix tagged with its site
-structure (d, n).  Site 1 is the leftmost, slowest-varying Kronecker factor;
-all public site indices are 1-based.  Dimensions are capped at MAX_DIM = 4096
-(12 qubit sites), the largest size the tests and `bench/replay.py` build.  No
-command-line route builds its n-site objects here, and each caps its own site
-counts: qubit sections of order <= 2 go to total-spin blocks
-(`sections.spin_blocks`), the mixture fit to label-multiset coordinates
-(`_optim`), and the dense route is their fallback and oracle.
+structure (d, n), an `Operator`, which states subclass.  Site 1 is the
+leftmost, slowest-varying Kronecker factor; all public site indices are
+1-based.  Dimensions are capped at MAX_DIM = 4096 (12 qubit sites), the
+largest size the tests and `bench/replay.py` build.  No command-line route
+builds its n-site objects here, and each caps its own site counts: qubit
+sections of order <= 2 go to total-spin blocks (`sections.spin_blocks`), the
+mixture fit to label-multiset coordinates (`_optim`), and the dense route is
+their fallback and oracle.
 
 Norms and products delegate to LAPACK and BLAS through numpy, with exact
 dispatch fast paths (exactly-real input, and diagonal input for norms) that
 matter on a single core at dim 4096.  Every fast path computes the same
 quantity as the generic route and is cross-checked against it in the test
-suite.  The commuting, classical quantities do not come through here: events
-live on the bits of the sites they involve (`stochastics`), and frequency
-statistics on the n + 1 weights of the outcome count (`macrolimit`).
+suite; `_commute` serves dense matrices and total-spin blocks alike.  The
+commuting, classical quantities do not come through here: events live on the
+bits of the sites they involve (`stochastics`), and frequency statistics on
+the n + 1 weights of the outcome count (`macrolimit`).
 """
 
 from __future__ import annotations
@@ -100,14 +102,23 @@ class Operator:
         object.__setattr__(self, "entries", arr)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Operator is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the freeze above, unchecked
+        return _rebuild, (type(self), self.space, self.entries)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     def __repr__(self) -> str:
-        return f"Operator(d={self.space.d}, n={self.space.n}, dim={self.dim})"
+        return f"{type(self).__name__}(d={self.space.d}, n={self.space.n}, dim={self.dim})"
+
+
+def _rebuild(cls, space: SiteSpace, entries: np.ndarray) -> Operator:
+    Operator.__init__(obj := object.__new__(cls), space, entries)
+    return obj
 
 
 def _is_diagonal(arr: np.ndarray) -> bool:
@@ -132,25 +143,12 @@ def hermiticity_defect(a: Operator) -> float:
 
 
 def _embed_view(out: np.ndarray, d: int, k: int, n: int) -> np.ndarray:
-    """Writable (dl, dr, d, d) view of the nonzero pattern of a one-site embed.
-
-    out must be a fresh C-contiguous (dim, dim) complex array.  The view
-    addresses exactly the entries out[(a,i,b), (a,j,b)] where a runs over the
-    d^(k-1) left indices and b over the d^(n-k) right ones; assigning a (d, d)
-    block through it realizes 1 x ... x B_k x ... x 1 without touching the
-    d^2n zero entries.
-    """
-    dim = d ** n
-    dl = d ** (k - 1)
-    dr = d ** (n - k)
-    item = out.itemsize
-    strides = (
-        (d * dr * dim + d * dr) * item,
-        (dim + 1) * item,
-        (dr * dim) * item,
-        dr * item,
-    )
-    return np.lib.stride_tricks.as_strided(out, shape=(dl, dr, d, d), strides=strides)
+    """Writable (left, right, d, d) view of the entries out[(a,i,b), (a,j,b)]
+    of a C-contiguous (d^n, d^n) array, a over the d^(k-1) left indices and b
+    over the d^(n-k) right ones: a (d, d) block assigned through it realizes
+    1 x ... x B_k x ... x 1 without touching the zeros."""
+    dl, dr = d ** (k - 1), d ** (n - k)
+    return np.einsum("aibajb->abij", out.reshape(dl, d, dr, dl, d, dr))
 
 
 def kron_power(arr: np.ndarray, n: int) -> np.ndarray:
@@ -207,6 +205,13 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y
 
 
+def _commute(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # xy - yx of two square arrays, the second product subtracted in place
+    diff = _matmul(x, y)
+    diff -= _matmul(y, x)
+    return diff
+
+
 def spectral_norm(a: Operator) -> float:
     """Largest singular value: max |eigenvalue| for Hermitian input, that of
     iA for anti-Hermitian input, and through A^dagger A otherwise."""
@@ -241,9 +246,7 @@ def commutator(a: Operator, b: Operator) -> Operator:
     """ab - ba on a shared space."""
     if a.space != b.space:
         raise SpaceMismatch(f"spaces differ: {a.space} vs {b.space}")
-    diff = _matmul(a.entries, b.entries)
-    diff -= _matmul(b.entries, a.entries)
-    return Operator(a.space, diff, copy=False)
+    return Operator(a.space, _commute(a.entries, b.entries), copy=False)
 
 
 def permute_sites(a: Operator, perm) -> Operator:

@@ -24,6 +24,7 @@ from .linalg import (
     Operator,
     SiteSpace,
     SpaceMismatch,
+    _commute,
     _matmul,
     _norm,
     commutator,
@@ -89,7 +90,7 @@ def commutator_decay(
     for n in ns:
         if blocks:
             pairs = zip(spin_blocks(s1, n), spin_blocks(s2, n))
-            value = max(_norm(x @ y - y @ x) for x, y in pairs)
+            value = max(_norm(_commute(x, y)) for x, y in pairs)
         else:
             # one expression, so no dense matrix outlives its n
             value = spectral_norm(commutator(materialize(s1, n), materialize(s2, n)))

@@ -20,6 +20,7 @@ from .linalg import (
     SiteSpace,
     SpaceMismatch,
     TOL_HERM,
+    _defect,
     hermiticity_defect,
     kron_power,
     permute_sites,
@@ -42,7 +43,7 @@ def _check_state(arr: np.ndarray) -> None:
     unit trace and positive semidefinite."""
     if not np.isfinite(arr).all():
         raise InvalidState("density matrix has non-finite entries")
-    if np.abs(arr - arr.conj().T).max() > TOL_HERM:
+    if _defect(arr, np.subtract) > TOL_HERM:
         raise InvalidState("density matrix is not Hermitian")
     if abs(arr.trace().real - 1.0) > 1e-12 or abs(arr.trace().imag) > 1e-12:
         raise InvalidState(f"trace {arr.trace():.6g} != 1")
@@ -50,21 +51,28 @@ def _check_state(arr: np.ndarray) -> None:
         raise InvalidState("density matrix has a negative eigenvalue")
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class NSiteState(Operator):
+    """Density matrix on an n-site space: a frozen Operator that is a state."""
+
+    __slots__ = ()
+
+    def __init__(self, space: SiteSpace, rho, *, validate: bool = True):
+        super().__init__(space, rho)
+        if validate:
+            _check_state(self.entries)
+
+    rho = property(lambda self: self.entries)
+
+
+class DensityMatrix(NSiteState):
     """One-site state: Hermitian, unit trace, positive semidefinite."""
 
-    d: int
-    entries: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.complex128)
-        if arr.shape != (self.d, self.d):
-            raise SpaceMismatch(f"entries shape {arr.shape} does not match d={self.d}")
-        _check_state(arr)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+    def __init__(self, d: int, entries):
+        super().__init__(SiteSpace(d, 1), entries)
+
+    d = property(lambda self: self.space.d)
 
 
 @dataclass(frozen=True)
@@ -101,27 +109,6 @@ class PureState:
 
     def as_density(self) -> DensityMatrix:
         return DensityMatrix(self.d, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-class NSiteState:
-    """Density matrix on an n-site space."""
-
-    __slots__ = ("space", "rho")
-
-    def __init__(self, space: SiteSpace, rho, *, validate: bool = True):
-        arr = np.asarray(rho, dtype=np.complex128)
-        if arr.shape != (space.dim, space.dim):
-            raise SpaceMismatch(f"rho shape {arr.shape} does not match dim {space.dim}")
-        if validate:
-            _check_state(arr)
-        if arr is rho:
-            arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rho", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NSiteState is immutable")
 
 
 def _bloch_entries(x, y, z) -> np.ndarray:
@@ -195,9 +182,8 @@ def is_permutation_invariant(state: NSiteState) -> bool:
     n = state.space.n
     if n == 1:
         return True
-    as_op = Operator(state.space, state.rho, copy=False)
     for perm in ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)):
-        if np.abs(permute_sites(as_op, perm).entries - state.rho).max() > 1e-10:
+        if np.abs(permute_sites(state, perm).entries - state.rho).max() > 1e-10:
             return False
     return True
 

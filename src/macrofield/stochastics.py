@@ -1,14 +1,15 @@
 """Classical Bernoulli sequence space next to its qubit image.
 
 Finite cylinder events and their AND/OR/NOT combinations map onto commuting
-diagonal projections on n qubit sites. One tree walk reads an event as the 0/1
-eigenvalues of its projection image on the 2**k bit assignments of the k sites
-it involves, whatever n: Born weights summed against them give its expectation,
-and, since the values are exactly 0.0 and 1.0, they are also its truth values,
-which select the Bernoulli weights (the k-fold Kronecker power of (1 - p, p))
-that sum to its probability. The strong-law check draws binomial counts from a
-counter-based generator, so every run is reproducible bit for bit from a
-64-bit seed.
+diagonal projections on n qubit sites. One post-order walk of the tree, on an
+explicit stack so that no depth is too deep (`_postorder`), lists its leaves
+and reads an event as the 0/1 eigenvalues of its projection image on the 2**k
+bit assignments of the k sites it involves, whatever n: Born weights summed
+against them give its expectation, and, since the values are exactly 0.0 and
+1.0, they are also its truth values, which select the Bernoulli weights (the
+k-fold Kronecker power of (1 - p, p)) that sum to its probability. The
+strong-law check draws binomial counts from a counter-based generator, so
+every run is reproducible bit for bit from a 64-bit seed.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ MAX_CONSTRAINTS = 16
 MAX_ENUM_SITES = 16
 # cap on strong-law trials: 10**7 of them take about 1 s and 240 MB
 MAX_TRIALS = 10**7
-# cap on leaves per random expression: a tree of them is at most about twice
-# as deep, which keeps the recursive indicator walk under Python's recursion limit
+# cap on leaves per random expression: quantum_classical_agreement on one of
+# 256 leaves over 16 sites takes about 0.2 s (2-core x86-64 VM, numpy 2.4.6)
 MAX_LEAVES = 256
 
 
@@ -77,7 +78,8 @@ class CylinderEvent:
 
 
 class BooleanExpr:
-    """Finite AND/OR/NOT tree over cylinder-event leaves."""
+    """Finite AND/OR/NOT tree over cylinder-event leaves; an inner node's
+    `_fold` maps its operands' 0/1 values to its own."""
 
     __slots__ = ()
 
@@ -91,17 +93,20 @@ class Leaf(BooleanExpr):
 class And(BooleanExpr):
     left: BooleanExpr
     right: BooleanExpr
+    _fold = staticmethod(lambda a, b: a * b)
 
 
 @dataclass(frozen=True)
 class Or(BooleanExpr):
     left: BooleanExpr
     right: BooleanExpr
+    _fold = staticmethod(lambda a, b: a + b - a * b)
 
 
 @dataclass(frozen=True)
 class Not(BooleanExpr):
     inner: BooleanExpr
+    _fold = staticmethod(lambda a: 1.0 - a)
 
 
 def cylinder(site: int, bit: int) -> Leaf:
@@ -109,19 +114,27 @@ def cylinder(site: int, bit: int) -> Leaf:
     return Leaf(CylinderEvent({site: bit}))
 
 
-def leaves(expr: BooleanExpr) -> Iterator[Leaf]:
-    """Every leaf of the expression tree, repeats included."""
-    stack = [expr]
+def _postorder(expr: BooleanExpr) -> Iterator[tuple[BooleanExpr, int]]:
+    """Every node of the tree with its operand count, each after its operands
+    and left before right; an explicit stack, so no tree is too deep."""
+    stack: list[tuple[BooleanExpr, int | None]] = [(expr, None)]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            yield node
+        node, arity = stack.pop()
+        if arity is not None:
+            yield node, arity
+        elif isinstance(node, Leaf):
+            yield node, 0
         elif isinstance(node, Not):
-            stack.append(node.inner)
+            stack += ((node, 1), (node.inner, None))
         elif isinstance(node, (And, Or)):
-            stack.extend((node.left, node.right))
+            stack += ((node, 2), (node.right, None), (node.left, None))
         else:
             raise TypeError(f"not a boolean expression node: {node!r}")
+
+
+def leaves(expr: BooleanExpr) -> Iterator[Leaf]:
+    """Every leaf of the expression tree, repeats included, left to right."""
+    return (node for node, arity in _postorder(expr) if not arity)
 
 
 def involved_sites(expr: BooleanExpr) -> tuple[int, ...]:
@@ -199,22 +212,20 @@ def slln_check(spec: BernoulliSpec, n: int, trials: int, delta: float, seed: int
 
 def _indicator(expr: BooleanExpr, sites: tuple[int, ...]) -> np.ndarray:
     """0/1 values of the expression on the bit assignments of `sites`, the
-    first site the leading bit: AND is a * b, OR is a + b - a * b, NOT is 1 - a.
-    Products and sums of 0.0 and 1.0 are exact, so these are also its truth values."""
-    if isinstance(expr, Leaf):
-        idx = np.arange(1 << len(sites))
+    first site the leading bit, each node folding its operands' values on one
+    stack.  Products and sums of 0.0 and 1.0 are exact, so these are also its
+    truth values."""
+    idx = np.arange(1 << len(sites))
+    values: list[np.ndarray] = []
+    for node, arity in _postorder(expr):
+        if arity:
+            values[-arity:] = [node._fold(*values[-arity:])]
+            continue
         acc = np.ones(idx.size)
-        for site, bit in expr.event.constraints:
+        for site, bit in node.event.constraints:
             acc *= ((idx >> (len(sites) - 1 - sites.index(site))) & 1) == bit
-        return acc
-    if isinstance(expr, Not):
-        return 1.0 - _indicator(expr.inner, sites)
-    if isinstance(expr, And):
-        return _indicator(expr.left, sites) * _indicator(expr.right, sites)
-    if isinstance(expr, Or):
-        a, b = _indicator(expr.left, sites), _indicator(expr.right, sites)
-        return a + b - a * b
-    raise TypeError(f"not a boolean expression node: {expr!r}")
+        values.append(acc)
+    return values.pop()
 
 
 def cylinder_to_projection(expr: BooleanExpr, n: int) -> Operator:

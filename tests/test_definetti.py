@@ -591,6 +591,11 @@ def test_fit_rejects_bad_inputs():
     qutrit = DensityMatrix(3, np.eye(3) / 3.0)
     with pytest.raises(SpaceMismatch):
         fit_mixture(product_power(qutrit, 2), 2)
+    # recover_mixture refuses qutrit atoms and an empty site count alike
+    with pytest.raises(SpaceMismatch):
+        recover_mixture(DiscreteMixture(((1.0, qutrit),)), 2, 2)
+    with pytest.raises(SpaceMismatch):
+        recover_mixture(DiscreteMixture(((1.0, ZERO),)), 0, 2)
     target = product_power(ZERO, 3)
     with pytest.raises(ValueError):
         fit_mixture(target, 0)

@@ -287,6 +287,22 @@ def test_block_routes_match_dense_oracle(seed, m1, m2, hermitian, data):
             assert abs(rec.exact_norm - want) <= 1e-12 * max(1.0, want)
 
 
+def test_norm_gap_materializes_a_section_of_order_three(monkeypatch):
+    # no total-spin block form past order 2, so every n takes the dense route
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order-3 section reached the block route")
+
+    monkeypatch.setattr(macrolimit, "spin_blocks", refuse)
+    s = _random_section(np.random.default_rng(3), 3, hermitian=True)
+    records = norm_gap(s, range(3, 7))
+    assert [r.n for r in records] == [3, 4, 5, 6]
+    for r in records:
+        want = np.linalg.norm(materialize(s, r.n).entries, 2)
+        assert abs(r.exact_norm - want) <= 1e-12 * max(1.0, want)
+        assert r.gap == r.exact_norm - r.product_sup
+    assert len({r.product_sup for r in records}) == 1
+
+
 def test_block_route_reaches_past_the_dense_cap():
     # spaces of dimension 2^16 to 2^64; the closed forms are 2/n and 1
     for r in commutator_decay(avg_section(SX), avg_section(SZ), [16, 32, 64]):

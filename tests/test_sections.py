@@ -367,6 +367,11 @@ def test_frequency_spec_rejects_non_projector():
         FrequencySpec(2, op(SX + SZ))  # hermitian but not idempotent
     with pytest.raises(SpaceMismatch):
         FrequencySpec(2, op([[0, 1], [0, 0]]))
+    # a projector on the wrong space: another dimension, or two sites
+    with pytest.raises(SpaceMismatch):
+        FrequencySpec(3, op(P1))
+    with pytest.raises(SpaceMismatch):
+        FrequencySpec(2, op(np.kron(P1, P1), n=2))
 
 
 def test_frequency_general_projector():
@@ -415,6 +420,13 @@ def test_perturbed_section_bound_enforced():
     )
     with pytest.raises(DecayBoundViolated):
         materialize(pert, 3)
+    # the decay must be a decay, and the perturbation must live where A_n does
+    for gamma in (0.0, -1.0):
+        with pytest.raises(BadOrder):
+            PerturbedSection(base, pert.perturbation, c=1.0, gamma=gamma)
+    wrong = PerturbedSection(base, lambda n: identity(SiteSpace(2, n + 1)), c=1.0, gamma=1.0)
+    with pytest.raises(SpaceMismatch):
+        materialize(wrong, 3)
 
 
 def test_section_seed_space_checked():

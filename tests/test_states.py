@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from conftest import SX, SY, SZ, P1, haar_qubit, naive_perm_matrix, naive_symmet
 
 from macrofield.linalg import (
     DimensionOverflow,
+    MismatchedLocalDimension,
     NotHermitian,
     Operator,
     SiteSpace,
@@ -97,6 +101,31 @@ def test_density_matrix_validation():
         DensityMatrix(2, np.array([[1.2, 0], [0, -0.2]]))
     with pytest.raises(InvalidState):
         DensityMatrix(2, np.array([[0.5, 0.3], [0.1, 0.5]]))
+    # the one-site space is checked first, as for every SiteSpace
+    with pytest.raises(MismatchedLocalDimension):
+        DensityMatrix(1, np.ones((1, 1)))
+    with pytest.raises(SpaceMismatch):
+        DensityMatrix(2, np.eye(3) / 3)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        op(SX),
+        NSiteState(SiteSpace(2, 2), np.eye(4) / 4),
+        DensityMatrix(2, np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])),
+    ],
+    ids=["Operator", "NSiteState", "DensityMatrix"],
+)
+def test_frozen_values_survive_copy_and_pickle(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin.space == value.space
+        np.testing.assert_array_equal(twin.entries, value.entries)
+        assert not twin.entries.flags.writeable
+        with pytest.raises(AttributeError, match="is immutable"):
+            twin.space = SiteSpace(2, 3)
+        assert repr(twin).startswith(type(value).__name__ + "(")
 
 
 @pytest.mark.parametrize(

@@ -297,7 +297,7 @@ def test_leaves_past_the_cap_are_refused_before_any_draw():
 
 def test_deepest_expression_at_the_leaf_cap_is_walked():
     # a chain with a NOT over every join is the deepest tree of MAX_LEAVES
-    # leaves that random_expression can make; the recursive walk must take it
+    # leaves that random_expression can make; the walk must take it
     expr = cylinder(1, 1)
     for k in range(1, MAX_LEAVES):
         leaf = cylinder(k % 4 + 1, k % 3 % 2)
@@ -308,6 +308,47 @@ def test_deepest_expression_at_the_leaf_cap_is_walked():
     quantum, classical = quantum_classical_agreement(psi, expr, 4)
     assert abs(quantum - classical) <= 1e-12
     assert abs(classical - naive_event_probability(0.36, expr)) <= 1e-12
+
+
+def _not_chain(depth: int):
+    expr = cylinder(1, 1)
+    for _ in range(depth):
+        expr = Not(expr)
+    return expr
+
+
+def _left_deep_and(count: int):
+    expr = cylinder(1, 1)
+    for k in range(1, count):
+        expr = And(expr, cylinder(k % 3 + 1, 1))
+    return expr
+
+
+@pytest.mark.parametrize(
+    "expr, amplitudes, want",
+    [
+        # an even number of NOTs leaves P(bit 1 at site 1) = 0.8^2
+        (_not_chain(1200), (0.6, 0.8), 0.64),
+        # 1,100 ANDed leaves fix bit 1 at sites 1..3: 0.5^3
+        (_left_deep_and(1100), (math.sqrt(0.5), math.sqrt(0.5)), 0.125),
+    ],
+    ids=["not-chain-1200", "left-deep-and-1100"],
+)
+def test_trees_deeper_than_the_recursion_limit_are_walked(expr, amplitudes, want):
+    psi = PureState(2, np.array(amplitudes))
+    p = abs(psi.amplitudes[1]) ** 2
+    quantum, classical = quantum_classical_agreement(psi, expr, 3)
+    assert abs(quantum - want) <= 1e-12
+    assert abs(classical - want) <= 1e-12
+    assert abs(classical_probability(BernoulliSpec(p), expr) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [And(cylinder(1, 1), "x"), Not(3), CylinderEvent({1: 1})])
+def test_walk_refuses_a_node_that_is_not_an_expression(bad):
+    with pytest.raises(TypeError, match="not a boolean expression node"):
+        involved_sites(bad)
+    with pytest.raises(TypeError, match="not a boolean expression node"):
+        stochastics._indicator(bad, (1,))
 
 
 def test_agreement_checks_sites_before_allocating(monkeypatch):
