@@ -29,7 +29,7 @@ def main() -> None:
     print(f"target: symmetric state on 6 sites, dim {target.space.dim}")
 
     fit = fit_mixture(target, k_max=6)
-    print(f"fit finished in {fit.iterations} rounds, residual {fit.residual:.3e}")
+    print(f"fit finished after {fit.iterations} iteration(s), residual {fit.residual:.3e}")
     print()
     print(f"{'':>10}  {'weight':>8}  {'bloch vector':>24}")
     for w, b in sorted(TRUTH, key=lambda t: -t[0]):

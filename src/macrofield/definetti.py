@@ -6,13 +6,18 @@ product. A dense target is converted once (fit_mixture), a known mixture's
 state is formed there (recover_mixture), and atoms are Bloch points until
 the result is built.
 
-The fit is a conditional-gradient loop: each step adds the product power
-best correlated with the current residual, found by projected gradient
-ascent of that degree-n polynomial from 32 starts at once, re-solves
-the weights on the probability simplex, refines all atoms jointly by
-projected Gauss-Newton steps on the exact Jacobian of the coordinates, and
-merges atoms that collide. Low-weight atoms are retried without at the end;
-among numerically exact fits the one with fewer atoms wins.
+The fit first reads the atoms off the chart (_start): the symmetric
+flattenings of the coordinates share their eigenvectors when the target is
+a mixture, whose rank the first flattening certifies (Jennrich's
+simultaneous diagonalization). A start that is not an exact mixture of at
+most k_max atoms with positive weights is refused, and a conditional-gradient
+loop runs instead: each step adds the product power best correlated with
+the current residual, found by projected gradient ascent of that degree-n
+polynomial from 32 starts at once, re-solves the weights on the
+probability simplex, refines all atoms jointly by projected Gauss-Newton
+steps on the exact Jacobian of the coordinates, and merges atoms that
+collide. Low-weight atoms are retried without at the end; among
+numerically exact fits the one with fewer atoms wins.
 field_of_states_check verifies that mixture expectations of symmetric
 sections do not move with n, on total-spin block diagonals where there are some.
 """
@@ -24,7 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import _coords, _correlate, _power_grads, _powers, maximize_on_ball, project_ball
+from ._optim import (
+    _classes,
+    _coords,
+    _correlate,
+    _power_grads,
+    _powers,
+    maximize_on_ball,
+    project_ball,
+)
 from .linalg import DimensionOverflow, MacrofieldError, SiteSpace, SpaceMismatch, kron_power
 from .sections import BadOrder, SymmetricSection, _irreps, _sweep, _unit_bands
 from .states import (
@@ -40,8 +53,9 @@ from .states import (
 
 # atoms closer than this in trace distance are considered one atom
 MERGE_DELTA = 1e-2
-# atom cap of a mixture and of a fit's budget: a fit of that many atoms at
-# _optim.MAX_CHART_SITES takes about 85 s, a field check of them up to 256 sites 3 s
+# atom cap of a mixture and of a fit's budget: at _optim.MAX_CHART_SITES the start
+# recovers that many atoms in about 0.6 s, the greedy rounds with a budget one
+# short of them take about 76 s; a field check of them up to 256 sites 3 s
 MAX_ATOMS = 32
 # a round ends the fit if it gains less than this or leaves a residual below this
 IMPROVEMENT_TOL = 1e-9
@@ -256,17 +270,20 @@ def _check_budget(k_max: int) -> None:
 
 
 def fit_mixture(target: NSiteState, k_max: int) -> FitResult:
-    """Conditional-gradient fit of a permutation-invariant qubit state by a
-    small mixture of product powers.
+    """Fit of a permutation-invariant qubit state by a small mixture of
+    product powers.
 
-    Each round adds the state whose product power correlates best with the
-    current residual (batched projected gradient ascent over the Bloch
-    ball), re-solves the weights, refines all atoms jointly by least
-    squares, and merges colliding atoms. The first round is kept even when
-    zero lies closer to the target; a later one that fails to improve is
-    discarded, so recorded residuals never increase. A final prune pass
-    retries the fit without each low-weight atom and keeps any retry that
-    loses no ground.
+    The fit first tries the start: for n >= 3 it reads at most k_max atoms
+    off the chart's flattenings and solves their weights, and it keeps them,
+    as one iteration, only if they fit exactly with positive weights.
+    Otherwise conditional-gradient rounds run. Each adds the state whose product power
+    correlates best with the current residual (batched projected gradient
+    ascent over the Bloch ball), re-solves the weights, refines all atoms
+    jointly by least squares, and merges colliding atoms. The first round
+    is kept even when zero lies closer to the target; a later one that fails
+    to improve is discarded, so recorded residuals never increase. A final
+    prune pass retries the fit without each low-weight atom and keeps any
+    retry that loses no ground.
     The residual is the Frobenius distance between the target and the fit.
     """
     if target.space.d != 2:
@@ -288,8 +305,82 @@ def recover_mixture(mix: DiscreteMixture, n: int, k_max: int) -> FitResult:
     return _fit(np.array([w for w, _ in mix.atoms]) @ _powers(blochs, n), n, k_max)
 
 
+def _whitened_flattenings(t: np.ndarray, n: int, k_max: int):
+    """The chart's flattenings T_1..T_3 whitened by M_0, or None when M_0 is
+    refused: for n < 3, when it is not PSD, or when its rank exceeds k_max.
+
+    c = t / mult holds c_beta = sum_i w_i u_i^beta with u_i = (1, b_i)/sqrt(2).
+    Over the multisets alpha and gamma of h = (n-1)//2 labels, the flattening
+    M_l[alpha, gamma] = c at alpha + gamma + (n-2h-1) e_0 + e_l, rows and
+    columns scaled by their mult, is sum_i w_i u_i0^(n-2h-1) u_il v_i v_i^T
+    with v_i the coordinates of rho(b_i)^(x)h. So M_0 is PSD of rank k, and
+    whitened by it, T_l = Q diag(b_il) Q^T for l = 1..3 with one orthogonal Q.
+    """
+    if n < 3:
+        return None
+    h = (n - 1) // 2
+    cls, half = _classes(n), _classes(h)
+    # a multiset's key is linear in its X, Y and Z counts, so the key of
+    # alpha + gamma + e_l is key(alpha) + key(gamma) + radix[l - 1]
+    radix = (n + 1) ** np.arange(2, -1, -1)
+    c = np.zeros((n + 1) ** 3)
+    c[cls.beta[:, 1:] @ radix] = t / cls.mult
+    key = half.beta[:, 1:] @ radix
+    base = key[:, None] + key
+
+    def flattening(offset: int) -> np.ndarray:
+        m = c[base + offset]
+        m *= half.mult[:, None]
+        m *= half.mult
+        return m
+
+    # a state's M_0 holds c at n e_0, a positive entry, so lam[-1] > 0
+    lam, vec = np.linalg.eigh(flattening(0))
+    if lam[0] < -1e-9 * lam[-1]:
+        return None
+    keep = lam > 1e-9 * lam[-1]
+    if keep.sum() > k_max:
+        return None
+    white = vec[:, keep] / np.sqrt(lam[keep])
+    return [white.T @ flattening(offset) @ white for offset in radix]
+
+
+def _start(t: np.ndarray, n: int, k_max: int):
+    """Atoms, weights and residual read off the chart by simultaneous
+    diagonalization, or None when the start is refused.
+
+    One eigh of a fixed combination of the whitened flattenings gives their
+    shared eigenvectors, and the atoms' Bloch coordinates are the diagonals
+    of the flattenings in that basis. The weights solve the Gram system of
+    the atoms' product powers. The start is refused where the flattenings
+    are, for atoms that collide, and unless every weight is positive and
+    the residual is at most IMPROVEMENT_TOL.
+    """
+    ts = _whitened_flattenings(t, n, k_max)
+    if ts is None:
+        return None
+    # atoms share an eigenvalue only where (1, sqrt 2, sqrt 3) . (b_i - b_j) = 0;
+    # their eigenvectors then mix, and the residual test refuses the start
+    _, rot = np.linalg.eigh(ts[0] + math.sqrt(2.0) * ts[1] + math.sqrt(3.0) * ts[2])
+    blochs = project_ball(np.column_stack([((tl @ rot) * rot).sum(axis=0) for tl in ts]))
+    gap = 0.5 * np.linalg.norm(blochs[:, None] - blochs, axis=-1)
+    if (gap[np.triu_indices(len(blochs), 1)] < MERGE_DELTA).any():
+        return None
+    powers = _powers(blochs, n)
+    g, q = np.linalg.eigh(powers @ powers.T)
+    weights = q @ ((q.T @ (powers @ t)) / g)
+    resid = float(np.linalg.norm(t - weights @ powers))
+    if not ((weights > 0.0).all() and resid <= IMPROVEMENT_TOL):
+        return None
+    return blochs, weights, resid
+
+
 def _fit(t: np.ndarray, n: int, k_max: int) -> FitResult:
     """The fit of fit_mixture on the chart coordinates t of an n-site target."""
+    start = _start(t, n, k_max)
+    if start is not None:
+        atoms, weights, prev = start
+        return _result(t, n, atoms, weights, prev, [prev], False)
     atoms = np.zeros((0, 3))
     weights = np.zeros(0)
     r = t
@@ -311,7 +402,6 @@ def _fit(t: np.ndarray, n: int, k_max: int) -> FitResult:
         if improvement < IMPROVEMENT_TOL or resid < IMPROVEMENT_TOL:
             ran_out = False
             break
-    iterations = len(history)
 
     # prune: a spurious atom left by the greedy rounds distorts the weights,
     # so retry without each atom, lightest first, and keep any retry that
@@ -326,7 +416,21 @@ def _fit(t: np.ndarray, n: int, k_max: int) -> FitResult:
                 break
         else:
             break
+    return _result(t, n, atoms, weights, prev, history, ran_out)
 
+
+def _result(
+    t: np.ndarray,
+    n: int,
+    atoms: np.ndarray,
+    weights: np.ndarray,
+    prev: float,
+    history: list[float],
+    ran_out: bool,
+) -> FitResult:
+    """The FitResult of atoms and simplex weights whose rounds recorded history;
+    prev is the residual of the last accepted round."""
+    iterations = len(history)
     weights = weights / weights.sum()
     final = min(float(np.linalg.norm(t - weights @ _powers(atoms, n))), prev)
     history.append(final)

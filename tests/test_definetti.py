@@ -11,6 +11,7 @@ product powers.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -380,12 +381,20 @@ def test_fit_round_trips_interior_atoms():
         assert abs(w_got - w_true) <= 1e-3
 
 
-def test_fit_reports_budget_exhaustion():
+def test_fit_reports_budget_exhaustion(monkeypatch):
+    # rank 3 is above the budget, so the start is refused
+    hits = record_safeguards(monkeypatch)
     mix = DiscreteMixture(((0.4, ZERO), (0.3, ONE), (0.3, PLUS)))
     res = fit_mixture(mixture_state(mix, 4), 1)
+    assert hits["start"] is False
     assert len(res.mixture.atoms) == 1
     assert res.budget_exhausted
     assert res.residual > 1e-9
+
+
+def refuse_start(monkeypatch) -> None:
+    """Send every fit to the greedy rounds."""
+    monkeypatch.setattr(definetti, "_start", lambda t, n, k_max: None)
 
 
 def bloch_mixture(spec) -> DiscreteMixture:
@@ -417,9 +426,11 @@ def assert_recovered(mix: DiscreteMixture, res: FitResult) -> None:
         ),
     ],
 )
-def test_fit_continues_past_a_first_atom_worse_than_zero(spec):
+def test_fit_continues_past_a_first_atom_worse_than_zero(monkeypatch, spec):
     # the best single product power lies farther from the target than the
-    # zero operator does, so the first round must not be measured against zero
+    # zero operator does, so the first greedy round must not be measured
+    # against zero; the start solves these targets, so it is refused here
+    refuse_start(monkeypatch)
     mix = bloch_mixture(spec)
     target = mixture_state(mix, 6)
     res = fit_mixture(target, 6)
@@ -436,9 +447,10 @@ def test_fit_continues_past_a_first_atom_worse_than_zero(spec):
         (((0.5, (0, 0, 1)), (0.5, (1, 0, 0))), 11),
     ],
 )
-def test_fit_recovers_exact_mixtures_past_ten_sites(spec, n):
+def test_fit_recovers_exact_mixtures_past_ten_sites(monkeypatch, spec, n):
     # the joint refinement must run at every n; without it the greedy rounds
     # leave spurious low-weight atoms and a residual far above 1e-6
+    refuse_start(monkeypatch)
     mix = bloch_mixture(spec)
     res = fit_mixture(mixture_state(mix, n), 6)
     assert_recovered(mix, res)
@@ -505,6 +517,87 @@ def test_fit_converges_at_two_sites(spec):
     assert not res.budget_exhausted
 
 
+# ------------------------------------------------------------------- start
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.data())
+def test_start_reads_exact_mixtures_off_the_chart(seed, n, data):
+    # up to the rank bound C(h+3, 3) of the h = (n-1)//2 flattening
+    k = data.draw(st.integers(1, min(6, math.comb((n - 1) // 2 + 3, 3))), label="k")
+    rng = np.random.default_rng(seed)
+    blochs: list[np.ndarray] = []
+    while len(blochs) < k:
+        # uniform in the ball, at least 0.3 from every earlier atom in trace distance
+        b = unit_bloch(rng) * rng.uniform() ** (1.0 / 3.0)
+        if all(0.5 * np.linalg.norm(b - a) >= 0.3 for a in blochs):
+            blochs.append(b)
+    weights = rng.dirichlet(np.ones(k))
+    start = definetti._start(weights @ _powers(np.array(blochs), n), n, MAX_ATOMS)
+    assert start is not None
+    got, got_w, resid = start
+    assert len(got) == k
+    assert resid <= 1e-9
+    for b, w in zip(blochs, weights):
+        i = int(np.argmin(np.linalg.norm(got - b, axis=1)))
+        assert np.linalg.norm(got[i] - b) <= 1e-6
+        assert abs(got_w[i] - w) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "n, weights, k_max",
+    [
+        (6, (0.4, 0.3, 0.3), 2),
+        # a negative weight gives M_0 a negative eigenvalue
+        (6, (0.7, 0.6, -0.3), 6),
+        (2, (0.4, 0.3, 0.3), 6),
+    ],
+    ids=["rank-above-budget", "not-psd", "two-sites"],
+)
+def test_start_refuses_before_it_reads_atoms(monkeypatch, n, weights, k_max):
+    t = np.array(weights) @ _powers(0.8 * np.eye(3), n)
+
+    def no_atoms(blochs, n):
+        raise AssertionError("the start reached its weight solve")
+
+    monkeypatch.setattr(definetti, "_powers", no_atoms)
+    assert definetti._start(t, n, k_max) is None
+
+
+def test_fit_merges_atoms_the_start_resolves_too_close(monkeypatch):
+    # two atoms 0.004 apart in trace distance: the start reads both, which
+    # no DiscreteMixture may hold, so it refuses and the greedy rounds merge
+    hits = record_safeguards(monkeypatch)
+    a, b = bloch_atom(0.0, 0.0, 0.8), bloch_atom(0.008, 0.0, 0.8)
+    rho = 0.5 * kron_power(a.entries, 4) + 0.5 * kron_power(b.entries, 4)
+    res = fit_mixture(NSiteState(SiteSpace(2, 4), rho), 6)
+    assert hits["start"] is False
+    assert hits["merge"]
+    assert len(res.mixture.atoms) == 1
+    assert trace_distance(res.mixture.atoms[0][1], bloch_atom(0.004, 0.0, 0.8)) <= 1e-3
+
+
+def test_fit_recovers_32_atoms_at_the_site_cap():
+    # 32 equal-weight atoms on a Fibonacci sphere of radius 0.9: the greedy
+    # rounds alone spent the budget here and stopped at residual 1.7e-2
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    z = 1.0 - (2.0 * np.arange(MAX_ATOMS) + 1.0) / MAX_ATOMS
+    phi = golden * np.arange(MAX_ATOMS)
+    r_xy = np.sqrt(1.0 - z * z)
+    blochs = 0.9 * np.column_stack([r_xy * np.cos(phi), r_xy * np.sin(phi), z])
+    mix = bloch_mixture((1.0 / MAX_ATOMS, b) for b in blochs)
+    res = recover_mixture(mix, MAX_CHART_SITES, MAX_ATOMS)
+    assert not res.budget_exhausted
+    assert res.residual <= 1e-9
+    got = np.array([astuple(density_to_bloch(rho)) for _, rho in res.mixture.atoms])
+    got_w = np.array([w for w, _ in res.mixture.atoms])
+    assert len(got) == MAX_ATOMS
+    for b in blochs:
+        i = int(np.argmin(np.linalg.norm(got - b, axis=1)))
+        assert np.linalg.norm(got[i] - b) <= 1e-6
+        assert abs(got_w[i] - 1.0 / MAX_ATOMS) <= 1e-6
+
+
 def ghz_state(n: int) -> NSiteState:
     v = np.zeros(2**n)
     v[[0, -1]] = 2**-0.5
@@ -518,13 +611,19 @@ def w_state(n: int) -> NSiteState:
 
 
 def record_safeguards(monkeypatch) -> dict:
-    """Wrap the fit's helpers so that the returned record notes its greedy
-    rounds, the atom counts its prune retries start from, rounds past the
-    8-atom refinement gate, and merges. A round is greedy when a vertex
-    search starts it; the prune retries start without one."""
-    hits = {"greedy": 0, "retry_sizes": set(), "gate": 0, "merge": 0}
-    real = {f: getattr(definetti, f) for f in ("_best_vertex", "_round", "_merge_atoms")}
+    """Wrap the fit's helpers so that the returned record notes whether the
+    start was accepted, the greedy rounds, the atom counts the prune retries
+    start from, rounds past the 8-atom refinement gate, and merges. A round
+    is greedy when a vertex search starts it; the prune retries start
+    without one."""
+    hits = {"start": None, "greedy": 0, "retry_sizes": set(), "gate": 0, "merge": 0}
+    real = {f: getattr(definetti, f) for f in ("_start", "_best_vertex", "_round", "_merge_atoms")}
     state = {"vertex": False}
+
+    def start(t, n, k_max):
+        out = real["_start"](t, n, k_max)
+        hits["start"] = out is not None
+        return out
 
     def best_vertex(c, n):
         state["vertex"] = True
@@ -544,7 +643,7 @@ def record_safeguards(monkeypatch) -> dict:
         hits["merge"] += len(merged) < len(blochs)
         return merged, w
 
-    for f, wrapper in zip(real, (best_vertex, round_, merge_atoms)):
+    for f, wrapper in zip(real, (start, best_vertex, round_, merge_atoms)):
         monkeypatch.setattr(definetti, f, wrapper)
     return hits
 
@@ -552,8 +651,9 @@ def record_safeguards(monkeypatch) -> dict:
 @pytest.mark.parametrize(
     "target, k_max, safeguards",
     [
-        # entangled targets, which no mixture of product powers reaches, and
-        # the safeguards that each drives the fit through
+        # entangled targets, which no mixture of product powers reaches, so
+        # the start refuses them, and the greedy safeguards that each drives
+        # the fit through
         (ghz_state(2), 6, ()),
         (ghz_state(3), 6, ("merge",)),
         (w_state(3), 10, ("kept prune retry", "gate")),
@@ -564,6 +664,7 @@ def record_safeguards(monkeypatch) -> dict:
 def test_fit_safeguards_return_a_valid_mixture(monkeypatch, target, k_max, safeguards):
     hits = record_safeguards(monkeypatch)
     res = fit_mixture(target, k_max)
+    assert hits["start"] is False
     reached = {
         "merge": hits["merge"] > 0,
         # a pass of retries starts each from one atom fewer than it holds,
