@@ -467,7 +467,11 @@ def _block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> fl
         # weights in log space: e factors l0 >= 0, f factors l1 >= 1/2
         with np.errstate(divide="ignore"):
             log_w = e * np.log(np.where(e > 0, lam[0], 1.0)) + f * np.log(lam[1])
-        total += w * float(np.exp(log_w + log_mult) @ diag)
+        p = np.exp(log_w + log_mult)
+        # OpenBLAS splits a dot product of over 10,000 entries across its
+        # threads; shorter pieces keep the sum independent of the thread count
+        pieces = range(0, p.size, 8192)
+        total += w * float(sum(p[i : i + 8192] @ diag[i : i + 8192] for i in pieces))
     return total
 
 

@@ -115,6 +115,21 @@ def test_slln_mc_example_and_byte_stability(tmp_path):
     assert abs(rec["hoeffding_bound"] - 2.0 * 2.718281828459045 ** (-8.0)) <= 1e-12
 
 
+def test_field_check_bytes_do_not_follow_the_blas_thread_count():
+    # at n = 256 the band-0 diagonal has 16,641 entries, past the length at
+    # which OpenBLAS splits one dot product across its threads
+    argv = ("field-check", "--atoms", "0.3:0,0,1;0.7:0.6,-0.2,0.1", "--section", "sym2(X,Z)",
+            "--n", "255,256", "--no-timestamp")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**src_env(), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "macrofield", *argv],
+                              capture_output=True, text=True, timeout=600, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_boolean_check_agreement():
     report = run_json(
         "boolean-check", "--instances", "12", "--sites", "5", "--rng-seed", "11"
