@@ -150,7 +150,11 @@ def _powers(blochs: np.ndarray, n: int) -> np.ndarray:
     coefficient on a string with label counts beta is u^beta, u = (1, b)/sqrt(2)."""
     u = np.column_stack([np.ones(len(blochs)), blochs]) / math.sqrt(2.0)
     cls = _classes(n)
-    return np.prod(u[:, cls.labels], axis=2) * cls.mult
+    # column-major, as np.prod of the gather returned: BLAS products round by layout
+    out = np.ones((len(blochs), len(cls.mult)), order="F")
+    for col in cls.labels.T:
+        out *= u[:, col]
+    return out * cls.mult
 
 
 def _power_grads(blochs: np.ndarray, n: int) -> np.ndarray:

@@ -38,7 +38,9 @@ from ._optim import (
     maximize_on_ball,
     project_ball,
 )
-from .linalg import DimensionOverflow, MacrofieldError, SiteSpace, SpaceMismatch, kron_power
+from .linalg import (
+    DimensionOverflow, MacrofieldError, SiteSpace, SpaceMismatch, _rebuild, kron_power
+)
 from .sections import BadOrder, SymmetricSection, _irreps, _sweep, _unit_bands
 from .states import (
     DensityMatrix,
@@ -126,7 +128,7 @@ def mixture_state(mix: DiscreteMixture, n: int) -> NSiteState:
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
     for w, rho in mix.atoms:
         out += w * kron_power(rho.entries, n)
-    return NSiteState(space, out, validate=False)
+    return _rebuild(NSiteState, space, out)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -448,7 +450,7 @@ def _result(
 
 
 def _block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> float:
-    """tr(A_n sum_i w_i rho_i^(x)n) for a qubit section of order <= 2.
+    """tr(A_n sum_i w_i rho_i^(x)n) for a qubit symmetric section.
     In rho's eigenbasis rho^(x)n is l0^e l1^f (0^0 = 1) at J_z = m, e = n/2 + m,
     f = n/2 - m, on each of the C(n, k) - C(n, k - 1) copies of J = n/2 - k, and
     the diagonal of A_n there is the turned seed against the band-0 table of
@@ -466,12 +468,9 @@ def _block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> fl
         diag = (uu.conj().T @ section.seed.entries @ uu).ravel().real @ table
         # weights in log space: e factors l0 >= 0, f factors l1 >= 1/2
         with np.errstate(divide="ignore"):
-            log_w = e * np.log(np.where(e > 0, lam[0], 1.0)) + f * np.log(lam[1])
-        p = np.exp(log_w + log_mult)
-        # OpenBLAS splits a dot product of over 10,000 entries across its
-        # threads; shorter pieces keep the sum independent of the thread count
-        pieces = range(0, p.size, 8192)
-        total += w * float(sum(p[i : i + 8192] @ diag[i : i + 8192] for i in pieces))
+            p = np.exp(e * np.log(np.where(e > 0, lam[0], 1.0)) + f * np.log(lam[1]) + log_mult)
+        cuts = range(8192, diag.size, 8192)  # OpenBLAS splits longer dots over threads
+        total += w * float(sum(map(np.dot, np.split(p, cuts), np.split(diag, cuts))))
     return total
 
 

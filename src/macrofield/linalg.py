@@ -6,7 +6,7 @@ leftmost, slowest-varying Kronecker factor; all public site indices are
 1-based.  Dimensions are capped at MAX_DIM = 4096 (12 qubit sites), the
 largest size the tests and `bench/replay.py` build.  No command-line route
 builds its n-site objects here, and each caps its own site counts: qubit
-sections of order <= 2 go to total-spin blocks (`sections.spin_blocks`), the
+symmetric sections go to total-spin blocks (`sections.spin_blocks`), the
 mixture fit to label-multiset coordinates (`_optim`), and the dense route is
 their fallback and oracle.
 
@@ -105,7 +105,6 @@ class Operator:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the freeze above, unchecked
         return _rebuild, (type(self), self.space, self.entries)
 
     @property
@@ -117,7 +116,8 @@ class Operator:
 
 
 def _rebuild(cls, space: SiteSpace, entries: np.ndarray) -> Operator:
-    Operator.__init__(obj := object.__new__(cls), space, entries)
+    # copy, deepcopy, pickle and fresh states: entries frozen as they are, unchecked
+    Operator.__init__(obj := object.__new__(cls), space, entries, copy=False)
     return obj
 
 

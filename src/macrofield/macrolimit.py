@@ -5,8 +5,8 @@ constancy of frequency expectations on product states.
 Every limit claim is probed by a finite-n sweep; closed forms live in the
 tests, never here, so the two routes stay independent.  Commutator and norm
 sweeps take their route from `sections._sweep`, which checks the n list whole:
-total-spin blocks for qubit sections of order <= 2 (`sections.spin_blocks`, up
-to `sections.MAX_BLOCK_SITES`), dense matrices up to the dense cap otherwise.
+total-spin blocks for qubit symmetric sections (`sections.spin_blocks`, up to a
+site cap set by the seed order), dense matrices up to the dense cap otherwise.
 Frequency statistics run on the n + 1 outcome-count weights (MAX_COUNT_SITES).
 """
 
@@ -82,8 +82,8 @@ def commutator_decay(
 ) -> list[DecayRecord]:
     """Norms of [A_n, B_n] for two sections, with the n-scaled value alongside.
 
-    Qubit symmetric sections of order <= 2 are commuted block by block on
-    their total-spin blocks; any other pair goes through dense matrices.
+    Qubit symmetric sections are commuted block by block on their
+    total-spin blocks; any other pair goes through dense matrices.
     """
     ns, blocks = _sweep(n_list, s1, s2)
     records = []
@@ -150,17 +150,14 @@ def product_state_sup(section: SymmetricSection, n: int) -> float:
 def norm_gap(section: SymmetricSection, n_list) -> list[NormGapRecord]:
     """Exact operator norm vs the product-state supremum, per n.
 
-    The exact norm of a qubit section of order <= 2 is the largest norm of its
-    total-spin blocks; any other section is materialized densely.
+    The exact norm is the largest norm of the section's total-spin blocks:
+    product_state_sup admits qubit symmetric sections only.
     """
-    ns, blocks = _sweep(n_list, section)
+    ns, _ = _sweep(n_list, section)
     sup = product_state_sup(section, section.m)
     records = []
     for n in ns:
-        if blocks:
-            exact = max(map(_norm, spin_blocks(section, n)))
-        else:
-            exact = spectral_norm(materialize(section, n))
+        exact = max(map(_norm, spin_blocks(section, n)))
         records.append(NormGapRecord(n, exact, sup, exact - sup))
     return records
 

@@ -7,9 +7,9 @@ dense cap d^n <= 4096 bounds m.  A one-site seed then extends as a site sum
 over n, and a longer one by the composition law j_{k+1,m} = j_{k+1,k} o
 j_{k,m}, each step the average over the k + 1 places of a new identity site.
 The tests check all three routes against direct permutation averaging, for
-qubits and qutrits.  Qubit sections of order <= 2 also have a block form on
-the total-spin irreps, without a dense matrix: band k of each block is the
-seed's entries against one closed-form table (`_unit_bands`), which
+qubits and qutrits.  Qubit sections also have a block form on the total-spin
+irreps, without a dense matrix: band k of each block is the seed's entries
+against one table (`_unit_bands`, one recursion for every order), which
 `spin_blocks` assembles and the field check reads the diagonal of.  Sweeps
 enter through `_sweep`: one route for all n, and the whole n list checked.
 """
@@ -43,7 +43,7 @@ class DecayBoundViolated(MacrofieldError):
     pass
 
 
-# site cap of the total-spin block route; a sweep up to it takes under half a minute
+# block route site cap, halved per seed order past 2: a sweep to a cap takes under 30 s
 MAX_BLOCK_SITES = 256
 
 
@@ -165,11 +165,11 @@ def materialize(section: SymmetricSection | PerturbedSection, n: int) -> Operato
     return section.materialize(n)
 
 
-def _irreps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The total-spin irreps J = n/2, n/2 - 1, ... of n <= MAX_BLOCK_SITES
-    qubits end to end, m = J..-J in each: sizes 2J + 1, and J and m per entry."""
-    if n > MAX_BLOCK_SITES:
-        raise DimensionOverflow(f"n = {n} exceeds the block cap {MAX_BLOCK_SITES}")
+def _irreps(n: int, order: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The total-spin irreps J = n/2, n/2 - 1, ... of n qubits end to end, for a
+    seed of the given order, m = J..-J in each: sizes 2J + 1, and J and m per entry."""
+    if n > (cap := MAX_BLOCK_SITES >> max(0, order - 2)):
+        raise DimensionOverflow(f"n = {n} exceeds the block cap {cap} of seed order {order}")
     sizes = np.arange(n + 1, 0, -2)
     jj = np.repeat((sizes - 1) / 2, sizes)
     return sizes, jj, jj - (np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes))
@@ -180,37 +180,42 @@ def _unit_bands(m: int, n: int, k: int) -> np.ndarray:
     one row per unit in seed.ravel() order: entry p is <p| A_n |p + k> on the
     irreps of _irreps, 0 where p + k leaves p's irrep.
 
-    S(E00) = n/2 + J_z, S(E11) = n/2 - J_z, S(E01) = J_+ and S(E10) = J_-, and
-    sum_{i!=j} E_ac^(i) E_bd^(j) = S(E_ac) S(E_bd) - [b = c] S(E_ad), over
-    n(n - 1); the ordered pairs symmetrize, so the seed need not be.
+    S(E00) = n/2 + J_z, S(E11) = n/2 - J_z, S(E01) = J_+ and S(E10) = J_-, and the
+    sum D(w) of a word w = E_a1c1 ... E_amcm over distinct sites is S(E_a1c1) D(w[1:])
+    less D(w[1:] with E_ajcj set to E_a1cj) for each j with aj = c1, where two sites
+    meet; over n(n - 1)...(n - m + 1), so the seed need not be symmetric.
     """
-    _, jj, mz = _irreps(n)
+    _, jj, mz = _irreps(n, m)
     # ladders vanish at an irrep's edge, so a row shifted past it reads 0
     up, down = (np.sqrt(jj * (jj + 1) - mz * (mz + s)) for s in (-1, 1))
     one = {(0, 0): n / 2 + mz, (1, 1): n / 2 - mz, (0, 1): up, (1, 0): down}
+    memo = {(): np.ones(mz.size)}
+
+    def dsum(w):
+        if w not in memo:
+            (a, c), v = w[0], w[1:]
+            meets = (v[:j] + ((a, e),) + v[j + 1 :] for j, (b, e) in enumerate(v) if b == c)
+            memo[w] = one[a, c] * np.roll(dsum(v), a - c) - sum(map(dsum, meets))
+        return memo[w]
+
+    falling = np.prod(np.arange(n - m + 1, n + 1))
     table = np.zeros((4**m, mz.size))
     for unit, bits in enumerate(itertools.product((0, 1), repeat=2 * m)):
-        if sum(bits[m:]) - sum(bits[:m]) != k:
-            continue
-        if m == 1:
-            table[unit] = one[bits] / n
-        else:
-            a, b, c, d = bits
-            pair = one[a, c] * np.roll(one[b, d], a - c) - (b == c) * one[a, d]
-            table[unit] = pair / (n * (n - 1))
+        if sum(bits[m:]) - sum(bits[:m]) == k:
+            table[unit] = dsum(tuple(zip(bits[:m], bits[m:]))) / falling
     return table
 
 
 def spin_blocks(section: SymmetricSection, n: int) -> list[np.ndarray]:
     """A_n on the total-spin irreps J = n/2, n/2 - 1, ..., one (2J+1)-square
-    block per J, for a qubit symmetric section of order <= 2 and n <= MAX_BLOCK_SITES.
+    block per J, for a qubit symmetric section and n up to its block cap (_irreps).
 
     A permutation-averaged qubit operator is block diagonal over J
     (Schur-Weyl duality) and acts alike on every copy of an irrep, so these
     blocks carry its norms and commutators; multiplicities are not needed for
     those.  Band k of the blocks is the seed's entries against _unit_bands.
     """
-    m, sizes = section.m, _irreps(n)[0].tolist()
+    m, sizes = section.m, _irreps(n, section.m)[0].tolist()
     bands = {k: section.seed.entries.ravel() @ _unit_bands(m, n, k) for k in range(-m, m + 1)}
     blocks, start = [], 0
     for size in sizes:
@@ -224,16 +229,16 @@ def spin_blocks(section: SymmetricSection, n: int) -> list[np.ndarray]:
 
 def _sweep(n_list, *sections: SymmetricSection | PerturbedSection) -> tuple[list[int], bool]:
     """The distinct n of a sweep in ascending order, and whether total-spin
-    blocks serve every section (each a qubit SymmetricSection of order <= 2)
-    rather than dense matrices.  The least n is checked against the seed
-    orders and the largest against the route's cap before any n is built."""
+    blocks serve every section (each a qubit SymmetricSection) rather than
+    dense matrices.  The least n is checked against the seed orders and the
+    largest against the route's cap before any n is built."""
     ns = sorted(set(int(n) for n in n_list))
-    blocks = all(isinstance(s, SymmetricSection) and s.d == 2 and s.m <= 2 for s in sections)
+    blocks = all(isinstance(s, SymmetricSection) and s.d == 2 for s in sections)
     lo = max(s.m for s in sections)
     if ns and ns[0] < lo:
         raise BadOrder(f"n={ns[0]} below the seed order {lo}")
     if ns and blocks:
-        _irreps(ns[-1])
+        _irreps(ns[-1], lo)
     elif ns:
         SiteSpace(max(s.d for s in sections), ns[-1])
     return ns, blocks

@@ -21,6 +21,7 @@ from .linalg import (
     SpaceMismatch,
     TOL_HERM,
     _defect,
+    _rebuild,
     hermiticity_defect,
     kron_power,
     permute_sites,
@@ -141,7 +142,7 @@ def product_power(rho: DensityMatrix, n: int) -> NSiteState:
         raise SpaceMismatch(f"need n >= 1, got {n}")
     space = SiteSpace(rho.d, n)  # raises DimensionOverflow beyond the dense cap
     # positivity and unit trace are inherited from the factor, skip re-validation
-    return NSiteState(space, kron_power(rho.entries, n), validate=False)
+    return _rebuild(NSiteState, space, kron_power(rho.entries, n))
 
 
 def power_vector(psi: PureState, n: int) -> np.ndarray:
@@ -152,7 +153,7 @@ def power_vector(psi: PureState, n: int) -> np.ndarray:
 
 def pure_power(psi: PureState, n: int) -> NSiteState:
     v = power_vector(psi, n)
-    return NSiteState(SiteSpace(psi.d, n), np.outer(v, v.conj()), validate=False)
+    return _rebuild(NSiteState, SiteSpace(psi.d, n), np.outer(v, v.conj()))
 
 
 def expect(state: NSiteState, a: Operator) -> float:

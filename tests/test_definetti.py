@@ -11,6 +11,7 @@ product powers.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import astuple
 from unittest import mock
 
@@ -221,6 +222,20 @@ def test_chart_has_one_coordinate_per_label_multiset():
         if n <= 5:
             a = naive_symmetrize(rand_hermitian(rng, 2**n), 2, n)
             assert _coords(a, n).size == size
+
+
+def test_product_power_rows_hold_no_per_site_array():
+    # 32 atoms at 32 sites: the (B, K) output is 1.7 MB, and a gather of all
+    # n label columns at once would be 53.6 MB
+    blochs = 0.9 * np.random.default_rng(32).standard_normal((32, 3)) / 3.0
+    _powers(blochs, 32)  # builds and caches the label classes
+    tracemalloc.start()
+    try:
+        out = _powers(blochs, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.nbytes, f"{peak} bytes traced for a {out.nbytes}-byte output"
 
 
 @pytest.mark.parametrize("n", [36, 40])
@@ -804,8 +819,8 @@ _ATOM = st.tuples(
 def test_block_and_chart_routes_match_the_dense_oracle(atoms, n, seed):
     # the field check's block expectation and the fit's chart target against
     # the dense mixture state, for pure and mixed atoms; besides the grammar's
-    # descriptors, random Hermitian seeds of order 1 and 2, the second not
-    # symmetric under the swap of its two sites
+    # descriptors, random Hermitian seeds of orders 1 to 4 up to n, those past
+    # order 1 not symmetric under a swap of their sites
     total = sum(w for _, _, w in atoms)
     spec = [(w / total, np.asarray(v) / np.linalg.norm(v) * r) for v, r, w in atoms]
     # trace distance, half the Bloch distance, clear of the merge threshold
@@ -816,9 +831,9 @@ def test_block_and_chart_routes_match_the_dense_oracle(atoms, n, seed):
     rng = np.random.default_rng(seed)
     cases = [_parse_section(text)[0] for text in _DESCRIPTORS] + [
         SymmetricSection(2, m, Operator(SiteSpace(2, m), rand_hermitian(rng, 2**m)))
-        for m in (1, 2)
+        for m in (1, 2, 3, 4) if m <= n
     ]
-    seed2 = cases[-1].seed.entries
+    seed2 = cases[len(_DESCRIPTORS) + 1].seed.entries
     assert not np.allclose(seed2, seed2.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4))
     for section in cases:
         want = expect(state, section.materialize(n))
@@ -874,21 +889,21 @@ def test_field_check_refuses_one_past_the_block_cap():
 
 
 def test_field_check_without_blocks_stays_dense():
-    # qutrit sites and order-3 seeds have no spin_blocks, so the sweep helper
-    # sends them dense; their line is the dense expectation, and the limit
-    # still holds
+    # qutrit sites have no spin_blocks, so the sweep helper sends them dense,
+    # while an order-3 qubit seed takes the blocks; each line is the dense
+    # expectation, and the limit still holds
     rng = np.random.default_rng(11)
     h = rand_hermitian(rng, 3)
     qutrits = DiscreteMixture(((0.5, DensityMatrix(3, np.eye(3) / 3.0)),
                                (0.5, DensityMatrix(3, np.diag([1.0, 0.0, 0.0])))))
     three = SymmetricSection(2, 3, Operator(SiteSpace(2, 3), kron_chain(SX, SZ, SX)))
     qubits = DiscreteMixture(((0.4, ZERO), (0.6, PLUS)))
-    for mix, section, ns in (
-        (qutrits, SymmetricSection(3, 1, Operator(SiteSpace(3, 1), h)), [1, 2, 4]),
-        (qubits, three, [3, 5, 7]),
+    for mix, section, ns, blocks in (
+        (qutrits, SymmetricSection(3, 1, Operator(SiteSpace(3, 1), h)), [1, 2, 4], False),
+        (qubits, three, [3, 5, 7], True),
     ):
         for n, lhs, rhs in field_of_states_check(mix, section, ns):
-            assert not _sweep([n], section)[1]
+            assert _sweep([n], section)[1] is blocks
             assert abs(lhs - expect(mixture_state(mix, n), section.materialize(n))) <= 1e-12
             assert abs(lhs - rhs) <= 1e-9
 

@@ -270,7 +270,7 @@ def _random_section(rng: np.random.Generator, m: int, hermitian: bool) -> Symmet
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 2), st.booleans(), st.data())
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
 def test_block_routes_match_dense_oracle(seed, m1, m2, hermitian, data):
     n = data.draw(st.integers(max(m1, m2), 8))
     rng = np.random.default_rng(seed)
@@ -287,17 +287,20 @@ def test_block_routes_match_dense_oracle(seed, m1, m2, hermitian, data):
             assert abs(rec.exact_norm - want) <= 1e-12 * max(1.0, want)
 
 
-def test_norm_gap_materializes_a_section_of_order_three(monkeypatch):
-    # no total-spin block form past order 2, so every n takes the dense route
+def test_norm_gap_of_a_section_of_order_three_matches_the_dense_norm(monkeypatch):
+    # an order-3 section takes the total-spin blocks, never a dense matrix;
+    # the dense matrix is the oracle
     def refuse(*args, **kwargs):
-        raise AssertionError("an order-3 section reached the block route")
+        raise AssertionError("norm_gap materialized an order-3 section")
 
-    monkeypatch.setattr(macrolimit, "spin_blocks", refuse)
     s = _random_section(np.random.default_rng(3), 3, hermitian=True)
+    wants = {n: np.linalg.norm(materialize(s, n).entries, 2) for n in range(3, 7)}
+    monkeypatch.setattr(macrolimit, "materialize", refuse)
+    monkeypatch.setattr(macrolimit, "spectral_norm", refuse)
     records = norm_gap(s, range(3, 7))
     assert [r.n for r in records] == [3, 4, 5, 6]
     for r in records:
-        want = np.linalg.norm(materialize(s, r.n).entries, 2)
+        want = wants[r.n]
         assert abs(r.exact_norm - want) <= 1e-12 * max(1.0, want)
         assert r.gap == r.exact_norm - r.product_sup
     assert len({r.product_sup for r in records}) == 1
@@ -311,6 +314,10 @@ def test_block_route_reaches_past_the_dense_cap():
         assert abs(r.exact_norm - 1.0) <= 1e-9
     [rec] = norm_gap(avg_section(SZ), [64])
     assert abs(rec.exact_norm - 1.0) <= 1e-12
+    # X (x) X (x) X on distinct sites: |+>^(x)n reaches 1, and no state more
+    xxx = SymmetricSection(2, 3, Operator(SiteSpace(2, 3), kron_chain(SX, SX, SX)))
+    for r in norm_gap(xxx, [16, 32, 64]):
+        assert abs(r.exact_norm - 1.0) <= 1e-9
 
 
 # ---------------------------------------------------------------- windows
@@ -571,6 +578,12 @@ def test_count_and_block_routes_refuse_one_past_their_caps():
     for past in ([top], [top - 1, top], range(2, top + 1)):
         assert_raises_before_allocating(DimensionOverflow, commutator_decay, x, z, past)
         assert_raises_before_allocating(DimensionOverflow, norm_gap, xz, past)
+    # an order-3 seed halves the cap, for its pair's sweep too
+    xzx = SymmetricSection(2, 3, Operator(SiteSpace(2, 3), kron_chain(SX, SZ, SX)))
+    top = MAX_BLOCK_SITES // 2 + 1
+    for past in ([top], [top - 1, top], range(3, top + 1)):
+        assert_raises_before_allocating(DimensionOverflow, commutator_decay, x, xzx, past)
+        assert_raises_before_allocating(DimensionOverflow, norm_gap, xzx, past)
 
 
 def _qutrit_section(rng: np.random.Generator, m: int) -> SymmetricSection:
@@ -584,8 +597,6 @@ def test_dense_sweeps_refuse_past_4096_rows_before_the_first_n():
     assert_raises_before_allocating(DimensionOverflow, commutator_decay, q1, q2, [7, 8])
     mix = DiscreteMixture(((1.0, DensityMatrix(3, np.eye(3) / 3)),))
     assert_raises_before_allocating(DimensionOverflow, field_of_states_check, mix, q1, [7, 8])
-    xzx = SymmetricSection(2, 3, Operator(SiteSpace(2, 3), kron_chain(SX, SZ, SX)))
-    assert_raises_before_allocating(DimensionOverflow, norm_gap, xzx, range(3, 14))
 
 
 def _route_sweeps(route: str):

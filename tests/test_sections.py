@@ -438,7 +438,7 @@ def test_section_seed_space_checked():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.data())
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.data())
 def test_spin_blocks_are_the_dense_spectrum_with_multiplicities(seed, m, data):
     n = data.draw(st.integers(m, 8))
     rng = np.random.default_rng(seed)
@@ -483,18 +483,19 @@ def test_spin_blocks_average_the_seed_over_the_swap(seed, n):
         assert np.abs(block - swapped).max() <= 1e-12 * max(1.0, np.abs(block).max())
 
 
-def test_spin_blocks_only_for_qubit_sections_of_order_two_or_less():
+def test_spin_blocks_for_every_qubit_symmetric_section():
     base = SymmetricSection(2, 1, op(SZ))
     perturbed = PerturbedSection(base, lambda n: identity(SiteSpace(2, n)), 1.0, 1.0)
     # the sweep helper's route flag: False sends a sweep to dense matrices
     assert not sections._sweep([3], perturbed)[1]
     assert not sections._sweep([3], SymmetricSection(3, 1, op(np.eye(3), d=3)))[1]
-    assert not sections._sweep([3], SymmetricSection(2, 3, op(np.eye(8), n=3)))[1]
+    assert sections._sweep([3], SymmetricSection(2, 3, op(np.eye(8), n=3)))[1]
     with pytest.raises(BadOrder):
         sections._sweep([1], SymmetricSection(2, 2, op(np.eye(4), n=2)))
 
 
 def test_block_and_dense_routes_refuse_one_past_their_caps():
+    base = SymmetricSection(2, 1, op(SX))
     for seed in (op(SZ), op(np.kron(SX, SZ), n=2)):
         section = SymmetricSection(2, seed.space.n, seed)
         assert_raises_before_allocating(
@@ -504,6 +505,17 @@ def test_block_and_dense_routes_refuse_one_past_their_caps():
         assert_raises_before_allocating(
             DimensionOverflow, sections._unit_bands, m, MAX_BLOCK_SITES + 1, k
         )
+    # each seed order past 2 halves the block cap: 128 sites at order 3, 8 at
+    # order 7, and none from order 8 on; a sweep is refused before its first n
+    for m, cap in ((3, MAX_BLOCK_SITES // 2), (4, MAX_BLOCK_SITES // 4), (7, 8), (8, 4)):
+        section = SymmetricSection(2, m, op(np.eye(2**m), n=m))
+        if cap >= m:
+            assert sections._sweep([m, cap], section, base)[1]
+        past = max(m, cap + 1)
+        assert_raises_before_allocating(DimensionOverflow, spin_blocks, section, past)
+        assert_raises_before_allocating(DimensionOverflow, sections._unit_bands, m, past, 0)
+        for ns in ([past], range(m, past + 1)):
+            assert_raises_before_allocating(DimensionOverflow, sections._sweep, ns, base, section)
     # sections without blocks fall back to dense matrices, capped at 4096 rows
     qutrit = SymmetricSection(3, 1, op(np.eye(3), d=3))
     assert_raises_before_allocating(DimensionOverflow, materialize, qutrit, 8)

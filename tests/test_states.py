@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,28 @@ def test_frozen_values_survive_copy_and_pickle(value):
         with pytest.raises(AttributeError, match="is immutable"):
             twin.space = SiteSpace(2, 3)
         assert repr(twin).startswith(type(value).__name__ + "(")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: product_power(DensityMatrix(2, np.eye(2) / 2), 10),
+        lambda: pure_power(PureState(2, np.array([0.8, 0.6])), 10),
+    ],
+    ids=["product_power", "pure_power"],
+)
+def test_product_states_are_built_without_a_second_copy(build):
+    # the state's array is the last one its builder makes, frozen in place:
+    # 1024 x 1024 complex entries, 16.8 MB, against 33.6 MB with a copy
+    build()
+    tracemalloc.start()
+    try:
+        state = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not state.entries.flags.writeable
+    assert peak < 1.5 * state.entries.nbytes, f"{peak} bytes traced"
 
 
 @pytest.mark.parametrize(
