@@ -189,7 +189,7 @@ def _unit_bands(m: int, n: int, k: int) -> np.ndarray:
     # ladders vanish at an irrep's edge, so a row shifted past it reads 0
     up, down = (np.sqrt(jj * (jj + 1) - mz * (mz + s)) for s in (-1, 1))
     one = {(0, 0): n / 2 + mz, (1, 1): n / 2 - mz, (0, 1): up, (1, 0): down}
-    memo = {(): np.ones(mz.size)}
+    memo = {(letter,): row for letter, row in one.items()}
 
     def dsum(w):
         if w not in memo:
@@ -198,7 +198,7 @@ def _unit_bands(m: int, n: int, k: int) -> np.ndarray:
             memo[w] = one[a, c] * np.roll(dsum(v), a - c) - sum(map(dsum, meets))
         return memo[w]
 
-    falling = np.prod(np.arange(n - m + 1, n + 1))
+    *_, falling = itertools.accumulate(range(n, n - m, -1), int.__mul__)  # n(n-1)...(n-m+1)
     table = np.zeros((4**m, mz.size))
     for unit, bits in enumerate(itertools.product((0, 1), repeat=2 * m)):
         if sum(bits[m:]) - sum(bits[:m]) == k:

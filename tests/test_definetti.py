@@ -236,6 +236,13 @@ def test_product_power_rows_hold_no_per_site_array():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * out.nbytes, f"{peak} bytes traced for a {out.nbytes}-byte output"
+    # the gather's product is the reference, to the last bit and in its
+    # column-major layout, which the fit's matrix products round by
+    cls = _optim._classes(32)
+    u = np.column_stack([np.ones(32), blochs]) / math.sqrt(2.0)
+    want = np.prod(u[:, cls.labels], axis=2) * cls.mult
+    assert out.tobytes(order="A") == want.tobytes(order="A")
+    assert out.flags.f_contiguous and want.flags.f_contiguous
 
 
 @pytest.mark.parametrize("n", [36, 40])

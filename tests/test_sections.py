@@ -473,6 +473,34 @@ def test_spin_blocks_match_the_matmul_oracle(m, n):
         assert np.abs(block - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def _closed_form_bands(m: int, n: int, k: int) -> np.ndarray:
+    # the order-1 and order-2 tables as closed forms: the one-site sums over
+    # n, and S(E_ac) S(E_bd) - [b = c] S(E_ad) over n(n - 1) for a pair
+    _, jj, mz = sections._irreps(n)
+    up, down = (np.sqrt(jj * (jj + 1) - mz * (mz + s)) for s in (-1, 1))
+    one = {(0, 0): n / 2 + mz, (1, 1): n / 2 - mz, (0, 1): up, (1, 0): down}
+    table = np.zeros((4**m, mz.size))
+    for unit, bits in enumerate(itertools.product((0, 1), repeat=2 * m)):
+        if sum(bits[m:]) - sum(bits[:m]) != k:
+            continue
+        if m == 1:
+            table[unit] = one[bits] / n
+        else:
+            a, b, c, d = bits
+            pair = one[a, c] * np.roll(one[b, d], a - c) - (b == c) * one[a, d]
+            table[unit] = pair / (n * (n - 1))
+    return table
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in (1, 2) for n in (2, 3, 7, 12, 64, 256)])
+def test_band_recursion_is_the_closed_form_at_orders_one_and_two(m, n):
+    # the same float operations in the same order, so the tables are equal
+    # to the last bit, and so are the reports built on them
+    for k in range(-m, m + 1):
+        want = _closed_form_bands(m, n, k)
+        assert sections._unit_bands(m, n, k).tobytes() == want.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40))
 def test_spin_blocks_average_the_seed_over_the_swap(seed, n):
