@@ -192,34 +192,26 @@ def _cmd_born_converge(args):
 
 
 def _cmd_commutator_decay(args):
+    from dataclasses import asdict
     from .macrolimit import commutator_decay, fit_decay_exponent
     from .sections import MAX_BLOCK_SITES
     s1, canon1 = _parse_section(args.seed1)
     s2, canon2 = _parse_section(args.seed2)
     n_list = _parse_n_list(args.n, MAX_BLOCK_SITES)
     recs = commutator_decay(s1, s2, n_list)
-    records = [
-        {"n": r.n, "value": float(r.value), "scaled": float(r.scaled)} for r in recs
-    ]
+    records = list(map(asdict, recs))
     exponent = fit_decay_exponent(recs)
     config = {"seed1": canon1, "seed2": canon2, "n_list": n_list}
     return config, records, {"fitted_exponent": _clean(exponent)}
 
 
 def _cmd_norm_gap(args):
+    from dataclasses import asdict
     from .macrolimit import norm_gap
     from .sections import MAX_BLOCK_SITES
     section, canon = _parse_section(args.section)
     n_list = _parse_n_list(args.n, MAX_BLOCK_SITES)
-    records = [
-        {
-            "n": r.n,
-            "exact_norm": float(r.exact_norm),
-            "product_sup": float(r.product_sup),
-            "gap": float(r.gap),
-        }
-        for r in norm_gap(section, n_list)
-    ]
+    records = list(map(asdict, norm_gap(section, n_list)))
     gaps = [r["gap"] for r in records]
     config = {"section": canon, "n_list": n_list}
     return config, records, {
@@ -229,14 +221,12 @@ def _cmd_norm_gap(args):
 
 
 def _cmd_window_mass(args):
+    from dataclasses import asdict
     from .macrolimit import MAX_COUNT_SITES, window_mass
     psi = _parse_psi(args.psi)
     spec = _freq_spec(psi.d, args.lam)
     n_list = _parse_n_list(args.n, MAX_COUNT_SITES)
-    records = [
-        {"n": r.n, "epsilon": float(r.epsilon), "mass": float(r.mass)}
-        for r in window_mass(psi, spec, n_list, args.epsilon)
-    ]
+    records = list(map(asdict, window_mass(psi, spec, n_list, args.epsilon)))
     config = {
         "psi": [float(a.real) for a in psi.amplitudes],
         "lambda": args.lam,

@@ -127,7 +127,9 @@ def mixture_state(mix: DiscreteMixture, n: int) -> NSiteState:
     space = SiteSpace(mix.d, n)
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
     for w, rho in mix.atoms:
-        out += w * kron_power(rho.entries, n)
+        power = kron_power(rho.entries, n)  # fresh, but at n = 1 the frozen atom
+        out += np.multiply(power, w, out=power if n > 1 else None)
+        del power  # before the next one is built
     return _rebuild(NSiteState, space, out)
 
 
@@ -294,7 +296,7 @@ def fit_mixture(target: NSiteState, k_max: int) -> FitResult:
     if not is_permutation_invariant(target):
         raise NotSymmetric("target state is not permutation-invariant")
     n = target.space.n
-    return _fit(_coords(np.asarray(target.rho), n), n, k_max)
+    return _fit(_coords(target.entries, n), n, k_max)
 
 
 def recover_mixture(mix: DiscreteMixture, n: int, k_max: int) -> FitResult:
@@ -422,13 +424,8 @@ def _fit(t: np.ndarray, n: int, k_max: int) -> FitResult:
 
 
 def _result(
-    t: np.ndarray,
-    n: int,
-    atoms: np.ndarray,
-    weights: np.ndarray,
-    prev: float,
-    history: list[float],
-    ran_out: bool,
+    t: np.ndarray, n: int, atoms: np.ndarray, weights: np.ndarray, prev: float,
+    history: list[float], ran_out: bool,
 ) -> FitResult:
     """The FitResult of atoms and simplex weights whose rounds recorded history;
     prev is the residual of the last accepted round."""

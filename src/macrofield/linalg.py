@@ -83,23 +83,15 @@ class SiteSpace:
 class Operator:
     """A dense complex matrix living on a SiteSpace.
 
-    Entries are frozen (read-only) after construction; every function in this
-    package treats operators as immutable values.
+    The constructor freezes (makes read-only) a complex copy of its input;
+    every function in this package treats operators as immutable values, and
+    freezes the arrays it has just made without a copy, through _rebuild.
     """
 
     __slots__ = ("space", "entries")
 
-    def __init__(self, space: SiteSpace, entries, *, copy: bool = True):
-        arr = np.asarray(entries, dtype=np.complex128)
-        if arr.shape != (space.dim, space.dim):
-            raise SpaceMismatch(
-                f"entries shape {arr.shape} does not match space dim {space.dim}"
-            )
-        if copy and arr is entries:
-            arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "entries", arr)
+    def __init__(self, space: SiteSpace, entries):
+        _freeze(self, space, np.array(entries, dtype=np.complex128))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -115,9 +107,18 @@ class Operator:
         return f"{type(self).__name__}(d={self.space.d}, n={self.space.n}, dim={self.dim})"
 
 
+def _freeze(obj: Operator, space: SiteSpace, entries: np.ndarray) -> None:
+    arr = np.asarray(entries, dtype=np.complex128)
+    if arr.shape != (space.dim, space.dim):
+        raise SpaceMismatch(f"entries shape {arr.shape} does not match space dim {space.dim}")
+    arr.flags.writeable = False
+    object.__setattr__(obj, "space", space)
+    object.__setattr__(obj, "entries", arr)
+
+
 def _rebuild(cls, space: SiteSpace, entries: np.ndarray) -> Operator:
-    # copy, deepcopy, pickle and fresh states: entries frozen as they are, unchecked
-    Operator.__init__(obj := object.__new__(cls), space, entries, copy=False)
+    # copy, deepcopy, pickle and arrays just made: entries frozen as they are, unchecked
+    _freeze(obj := object.__new__(cls), space, entries)
     return obj
 
 
@@ -162,13 +163,9 @@ def kron_power(arr: np.ndarray, n: int) -> np.ndarray:
     if n == 0:
         return np.ones((1,) * arr.ndim, dtype=arr.dtype)  # the empty product
     out = arr
-    d = arr.shape[0]
+    left, right = (slice(None), None) * arr.ndim, (None, slice(None)) * arr.ndim
     for _ in range(n - 1):
-        m = out.shape[0]
-        if arr.ndim == 1:
-            out = (out[:, None] * arr[None, :]).reshape(m * d)
-        else:
-            out = (out[:, None, :, None] * arr[None, :, None, :]).reshape(m * d, m * d)
+        out = (out[left] * arr[right]).reshape((out.shape[0] * arr.shape[0],) * arr.ndim)
     return out
 
 
@@ -182,7 +179,7 @@ def embed_at_site(b: Operator, k: int, n: int) -> Operator:
     space = SiteSpace(d, n)
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
     _embed_view(out, d, k, n)[...] = b.entries
-    return Operator(space, out, copy=False)
+    return _rebuild(Operator, space, out)
 
 
 def site_sum(b: Operator, n: int) -> Operator:
@@ -194,7 +191,7 @@ def site_sum(b: Operator, n: int) -> Operator:
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
     for k in range(1, n + 1):
         _embed_view(out, d, k, n)[...] += b.entries
-    return Operator(space, out, copy=False)
+    return _rebuild(Operator, space, out)
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -246,7 +243,7 @@ def commutator(a: Operator, b: Operator) -> Operator:
     """ab - ba on a shared space."""
     if a.space != b.space:
         raise SpaceMismatch(f"spaces differ: {a.space} vs {b.space}")
-    return Operator(a.space, _commute(a.entries, b.entries), copy=False)
+    return _rebuild(Operator, a.space, _commute(a.entries, b.entries))
 
 
 def permute_sites(a: Operator, perm) -> Operator:
@@ -266,11 +263,11 @@ def permute_sites(a: Operator, perm) -> Operator:
         inv[target - 1] = k
     axes = inv + [x + n for x in inv]
     t = a.entries.reshape((d,) * (2 * n)).transpose(axes)
-    return Operator(a.space, np.ascontiguousarray(t).reshape(a.dim, a.dim), copy=False)
+    return _rebuild(Operator, a.space, np.ascontiguousarray(t).reshape(a.dim, a.dim))
 
 
 def _op1(entries) -> Operator:
-    return Operator(SiteSpace(2, 1), np.asarray(entries, dtype=np.complex128))
+    return Operator(SiteSpace(2, 1), entries)
 
 
 PAULI_X = _op1([[0, 1], [1, 0]])
@@ -291,4 +288,4 @@ PAULI = {
 
 
 def identity(space: SiteSpace) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=np.complex128), copy=False)
+    return _rebuild(Operator, space, np.eye(space.dim, dtype=np.complex128))

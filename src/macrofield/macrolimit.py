@@ -19,17 +19,8 @@ import numpy as np
 
 from ._optim import _coords, _correlate, maximize_on_ball
 from .linalg import (
-    DimensionOverflow,
-    MacrofieldError,
-    Operator,
-    SiteSpace,
-    SpaceMismatch,
-    _commute,
-    _matmul,
-    _norm,
-    commutator,
-    kron_power,
-    spectral_norm,
+    DimensionOverflow, MacrofieldError, Operator, SiteSpace, SpaceMismatch, _commute, _matmul,
+    _norm, _rebuild, commutator, kron_power, spectral_norm,
 )
 from .sections import (
     BadOrder,
@@ -207,7 +198,7 @@ def window_projection(spec: FrequencySpec, n: int, p: float, epsilon: float) -> 
     for _ in range(n - 1):
         freq = np.add.outer(freq, w).reshape(-1)
     cols = kron_power(u, n)[:, _window_mask(freq / n, p, epsilon)]
-    return Operator(space, _matmul(cols, cols.conj().T), copy=False)
+    return _rebuild(Operator, space, _matmul(cols, cols.conj().T))
 
 
 def window_mass(

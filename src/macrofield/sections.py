@@ -23,15 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    DimensionOverflow,
-    MacrofieldError,
-    Operator,
-    SiteSpace,
-    SpaceMismatch,
-    TOL_HERM,
-    hermiticity_defect,
-    site_sum,
-    spectral_norm,
+    DimensionOverflow, MacrofieldError, Operator, SiteSpace, SpaceMismatch, TOL_HERM, _rebuild,
+    hermiticity_defect, site_sum, spectral_norm,
 )
 
 
@@ -43,7 +36,8 @@ class DecayBoundViolated(MacrofieldError):
     pass
 
 
-# block route site cap, halved per seed order past 2: a sweep to a cap takes under 30 s
+# block route site cap, halved per seed order past 2: a sweep to a cap takes under
+# 30 s for the command line's Pauli seeds, and 43-46 s for a random complex order-2 pair
 MAX_BLOCK_SITES = 256
 
 
@@ -73,7 +67,7 @@ def symmetrize(a: Operator) -> Operator:
         block = t[(row,) + (slice(None),) * (n - 1) + (col,)]
         for k in range(n - 2):
             block[...] = _swap_average(block, k)
-    return Operator(a.space, t.reshape(a.dim, a.dim), copy=False)
+    return _rebuild(Operator, a.space, t.reshape(a.dim, a.dim))
 
 
 def _insert_identities(seed_sym: np.ndarray, d: int, m: int, n: int) -> np.ndarray:
@@ -103,9 +97,9 @@ def j_nm(n: int, m: int, a_m: Operator) -> Operator:
     if a_m.space.n != m:
         raise SpaceMismatch(f"seed lives on {a_m.space.n} sites, expected {m}")
     if m == 1:
-        return site_sum(Operator(a_m.space, a_m.entries / n, copy=False), n)
+        return site_sum(_rebuild(Operator, a_m.space, a_m.entries / n), n)
     space = SiteSpace(a_m.space.d, n)
-    return Operator(space, _insert_identities(symmetrize(a_m).entries, space.d, m, n), copy=False)
+    return _rebuild(Operator, space, _insert_identities(symmetrize(a_m).entries, space.d, m, n))
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ class PerturbedSection:
             raise DecayBoundViolated(
                 f"perturbation norm {norm:.3e} exceeds declared bound {bound:.3e} at n={n}"
             )
-        return Operator(body.space, body.entries + pert.entries, copy=False)
+        return _rebuild(Operator, body.space, body.entries + pert.entries)
 
 
 def materialize(section: SymmetricSection | PerturbedSection, n: int) -> Operator:

@@ -57,12 +57,9 @@ class NSiteState(Operator):
 
     __slots__ = ()
 
-    def __init__(self, space: SiteSpace, rho, *, validate: bool = True):
+    def __init__(self, space: SiteSpace, rho):
         super().__init__(space, rho)
-        if validate:
-            _check_state(self.entries)
-
-    rho = property(lambda self: self.entries)
+        _check_state(self.entries)
 
 
 class DensityMatrix(NSiteState):
@@ -162,7 +159,7 @@ def expect(state: NSiteState, a: Operator) -> float:
         raise SpaceMismatch(f"operator space {a.space} does not match state {state.space}")
     if hermiticity_defect(a) > TOL_HERM:
         raise NotHermitian("expectation target is not Hermitian")
-    val = complex(np.einsum("ij,ji->", state.rho, a.entries))
+    val = complex(np.einsum("ij,ji->", state.entries, a.entries))
     if abs(val.imag) > 1e-10:
         raise InvalidState(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -184,7 +181,7 @@ def is_permutation_invariant(state: NSiteState) -> bool:
     if n == 1:
         return True
     for perm in ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)):
-        if np.abs(permute_sites(state, perm).entries - state.rho).max() > 1e-10:
+        if np.abs(permute_sites(state, perm).entries - state.entries).max() > 1e-10:
             return False
     return True
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .linalg import (
-    DimensionOverflow, MacrofieldError, Operator, SiteSpace, SpaceMismatch, kron_power
+    DimensionOverflow, MacrofieldError, Operator, SiteSpace, SpaceMismatch, _rebuild, kron_power
 )
 
 if TYPE_CHECKING:
@@ -235,7 +235,7 @@ def cylinder_to_projection(expr: BooleanExpr, n: int) -> Operator:
     space = SiteSpace(2, n)
     if max(involved_sites(expr), default=0) > n:
         raise SiteBeyondHorizon(f"the expression fixes a site beyond the horizon {n}")
-    return Operator(space, np.diag(_indicator(expr, tuple(range(1, n + 1)))), copy=False)
+    return _rebuild(Operator, space, np.diag(_indicator(expr, tuple(range(1, n + 1)))))
 
 
 def classical_probability(spec: BernoulliSpec, expr: BooleanExpr) -> float:

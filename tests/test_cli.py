@@ -250,6 +250,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     with contextlib.suppress(SystemExit):
         main()
 threads = len(os.listdir("/proc/self/task"))
+dataclasses_loaded = "dataclasses" in sys.modules
 # every package module but the entry point this script imports itself
 loaded = sorted(name for name in sys.modules if name == "numpy" or (
     name.startswith("macrofield.") and name != "macrofield.__main__"))
@@ -267,6 +268,7 @@ print(json.dumps({
     "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": threads,
     "loaded": loaded,
+    "dataclasses": dataclasses_loaded,
     "wrong": wrong,
     "dir_is_all": sorted(dir(macrofield)) == sorted(macrofield.__all__),
 }))
@@ -299,10 +301,13 @@ def test_cli_entry_point_starts_serial_blas_behind_a_lazy_namespace():
     assert out["threads"] == 1
     # the caller's value wins
     assert _start(*_SLLN, OPENBLAS_NUM_THREADS="2")["blas_threads"] == "2"
-    # a start that computes nothing loads neither numpy nor a route; the last
-    # argv is a usage error, as norm-gap requires --section
+    # a start that computes nothing loads neither numpy nor a route, nor the
+    # dataclasses the route records are; the last argv is a usage error, as
+    # norm-gap requires --section
     for argv in (("--version",), ("--help",), ("norm-gap", "--help"), ("norm-gap",)):
-        assert _start(*argv)["loaded"] == ["macrofield.cli"], argv
+        out = _start(*argv)
+        assert out["loaded"] == ["macrofield.cli"], argv
+        assert out["dataclasses"] is False, argv
 
 
 def test_public_names_are_declared_once():

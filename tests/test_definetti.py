@@ -135,12 +135,12 @@ def test_mixture_state_single_atom_is_product_power():
     got = mixture_state(mix, 4)
     want = product_power(rho, 4)
     assert got.space == want.space
-    np.testing.assert_allclose(got.rho, want.rho, atol=1e-14)
+    np.testing.assert_allclose(got.entries, want.entries, atol=1e-14)
 
 
 def test_mixture_state_two_point_oracle():
     mix = DiscreteMixture(((0.5, ZERO), (0.5, ONE)))
-    got = mixture_state(mix, 2).rho
+    got = mixture_state(mix, 2).entries
     want = 0.5 * kron_chain(P0, P0) + 0.5 * kron_chain(P1, P1)
     np.testing.assert_allclose(got, want, atol=1e-15)
 
@@ -163,8 +163,34 @@ def test_mixture_state_permutation_invariant():
     mix = DiscreteMixture(((0.3, a), (0.7, b)))
     state = mixture_state(mix, 4)
     assert is_permutation_invariant(state)
-    assert abs(np.trace(state.rho) - 1.0) < 1e-12
-    np.testing.assert_allclose(state.rho, state.rho.conj().T, atol=1e-14)
+    assert abs(np.trace(state.entries) - 1.0) < 1e-12
+    np.testing.assert_allclose(state.entries, state.entries.conj().T, atol=1e-14)
+
+
+def test_mixture_state_holds_its_state_and_one_power():
+    # two atoms at 10 sites: the sum, one power and the power it was built
+    # from, about 2.25 state sizes, against 3 with a scaled copy of the power
+    mix = DiscreteMixture(((0.3, ZERO), (0.7, PLUS)))
+    mixture_state(mix, 10)
+    tracemalloc.start()
+    try:
+        state = mixture_state(mix, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * state.entries.nbytes, f"{peak} bytes traced"
+    qutrits = DiscreteMixture(
+        ((0.25, DensityMatrix(3, np.diag([1.0, 0, 0]))), (0.75, DensityMatrix(3, np.eye(3) / 3)))
+    )
+    for m, ns in ((mix, (1, 2, 5)), (qutrits, (1, 2, 4))):
+        for n in ns:
+            want = np.zeros((m.d**n,) * 2, dtype=complex)
+            for w, rho in m.atoms:
+                power = rho.entries  # the np.kron fold, which kron_power matches bit for bit
+                for _ in range(n - 1):
+                    power = np.kron(power, rho.entries)
+                want += w * power
+            assert mixture_state(m, n).entries.tobytes() == want.tobytes()
 
 
 def test_mixture_state_rejects_bad_site_count():
@@ -211,7 +237,7 @@ def test_coordinates_are_an_orthonormal_chart(seed, n, pure):
     bloch = ball_point(rng, pure)
     rho = bloch_to_density(BlochVector(*bloch))
     [row] = _powers(bloch[None, :], n)
-    np.testing.assert_allclose(row, _coords(product_power(rho, n).rho, n), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(row, _coords(product_power(rho, n).entries, n), rtol=0, atol=1e-14)
 
 
 def test_chart_has_one_coordinate_per_label_multiset():
@@ -383,7 +409,7 @@ def test_fit_round_trips_random_two_atom_mixtures():
             assert abs(w_got - w_true) <= 1e-3
         # the reported residual matches the returned mixture
         back = mixture_state(res.mixture, 6)
-        literal = float(np.linalg.norm(np.asarray(target.rho) - np.asarray(back.rho)))
+        literal = float(np.linalg.norm(np.asarray(target.entries) - np.asarray(back.entries)))
         assert abs(literal - res.residual) <= 1e-9
 
 
@@ -456,7 +482,7 @@ def test_fit_continues_past_a_first_atom_worse_than_zero(monkeypatch, spec):
     mix = bloch_mixture(spec)
     target = mixture_state(mix, 6)
     res = fit_mixture(target, 6)
-    assert res.history[0] > np.linalg.norm(target.rho)
+    assert res.history[0] > np.linalg.norm(target.entries)
     assert_recovered(mix, res)
     assert not res.budget_exhausted
     assert all(b <= a + 1e-15 for a, b in zip(res.history, res.history[1:]))
@@ -705,7 +731,7 @@ def test_fit_safeguards_return_a_valid_mixture(monkeypatch, target, k_max, safeg
         assert math.hypot(b.x, b.y, b.z) <= 1.0 + 1e-12
     # the reported residual is the distance of the returned mixture, which the
     # orthonormal chart gives as the Frobenius distance of the dense states
-    dense = np.linalg.norm(target.rho - mixture_state(res.mixture, target.space.n).rho)
+    dense = np.linalg.norm(target.entries - mixture_state(res.mixture, target.space.n).entries)
     assert abs(res.residual - dense) <= 1e-12
     assert res.residual == res.history[-1]
 
@@ -848,7 +874,7 @@ def test_block_and_chart_routes_match_the_dense_oracle(atoms, n, seed):
     # the target that recover_mixture hands the fit
     with mock.patch.object(definetti, "_fit", lambda t, n, k_max: t):
         chart = recover_mixture(mix, n, 1)
-    np.testing.assert_allclose(chart, _coords(state.rho, n), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(chart, _coords(state.entries, n), rtol=0, atol=1e-13)
 
 
 def _spin_block_expect(mix: DiscreteMixture, section: SymmetricSection, n: int) -> float:

@@ -1,6 +1,7 @@
 """Each demo script, and each python block of the README, runs clean and
-prints something."""
+prints something; the README's Route caps table names the caps the code holds."""
 
+import importlib
 import pathlib
 import re
 import subprocess
@@ -31,3 +32,22 @@ def test_demo_runs(script):
 )
 def test_readme_python_block_runs(block):
     _run_clean([sys.executable, "-c", block])
+
+
+def _cap_value(text: str) -> int:
+    # 256, 50,000, 10^4 or 2^33
+    base, _, exp = text.replace(",", "").partition("^")
+    return int(base) ** int(exp or 1)
+
+
+def test_readme_route_caps_match_the_code():
+    section = (ROOT / "README.md").read_text().split("### Route caps", 1)[1].split("\n### ", 1)[0]
+    cells = [line.split("|")[3] for line in section.splitlines() if line.startswith("| ")][1:]
+    caps = [
+        (module, name, _cap_value(value))
+        for cell in cells
+        for value, module, name in re.findall(r"<= (\S+)[^(|]*\(`(\w+)\.(MAX_\w+)`\)", cell)
+    ]
+    assert len(caps) == 9, caps
+    for module, name, value in caps:
+        assert getattr(importlib.import_module(f"macrofield.{module}"), name) == value, name

@@ -209,9 +209,7 @@ def test_norm_cstar_identity_random():
             if not hermitian:
                 a = a + 1j * rand_hermitian(rng, dim)
             o = op_any(a)
-            lhs = spectral_norm(
-                Operator(o.space, a.conj().T @ a, copy=False)
-            )
+            lhs = spectral_norm(Operator(o.space, a.conj().T @ a))
             rhs = spectral_norm(o) ** 2
             assert abs(lhs - rhs) <= 10 * TOL_EIG * max(1.0, rhs)
 

@@ -127,11 +127,11 @@ def test_symmetrize_is_invariant_and_idempotent_past_the_oracle(n):
 _SYMMETRIZE_FOOTPRINT_SCRIPT = """
 import json, resource
 import numpy as np
-from macrofield.linalg import Operator, SiteSpace
+from macrofield.linalg import Operator, SiteSpace, _rebuild
 from macrofield.sections import symmetrize
 a = np.empty((4096, 4096), dtype=complex)
 np.random.default_rng(5).standard_normal(out=a.view(np.float64))
-sym = symmetrize(Operator(SiteSpace(2, 12), a, copy=False))
+sym = symmetrize(_rebuild(Operator, SiteSpace(2, 12), a))
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 drift = abs(np.trace(sym.entries) - np.trace(a)) / np.abs(a).max()
 print(json.dumps({"drift": drift, "rss_mb": rss_kb / 1024}))

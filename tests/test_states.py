@@ -129,6 +129,20 @@ def test_frozen_values_survive_copy_and_pickle(value):
         assert repr(twin).startswith(type(value).__name__ + "(")
 
 
+def test_constructors_copy_and_check_without_options():
+    a = np.eye(4, dtype=complex) / 4
+    # the options the constructors once took
+    with pytest.raises(TypeError):
+        Operator(SiteSpace(2, 2), a, **{"copy": False})
+    with pytest.raises(TypeError):
+        NSiteState(SiteSpace(2, 2), a, **{"validate": False})
+    for value in (Operator(SiteSpace(2, 2), a), NSiteState(SiteSpace(2, 2), a)):
+        assert not np.shares_memory(value.entries, a)
+        assert not value.entries.flags.writeable
+    assert a.flags.writeable
+    assert not hasattr(NSiteState(SiteSpace(2, 2), a), "rho")
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -169,8 +183,6 @@ def test_non_finite_states_are_rejected(one_site):
     two_site[:2, :2] = arr  # |0><0| (x) arr
     with pytest.raises(InvalidState):
         NSiteState(SiteSpace(2, 2), two_site)
-    # an unvalidated state is taken as given
-    NSiteState(SiteSpace(2, 2), two_site, validate=False)
     # every first row holds a non-finite amplitude
     with pytest.raises(InvalidState):
         PureState(2, arr[0])
@@ -186,13 +198,13 @@ def test_pure_state_validation():
 def test_product_power_mixed_identity():
     half = DensityMatrix(2, np.eye(2) / 2)
     st = product_power(half, 2)
-    assert np.allclose(st.rho, np.eye(4) / 4, atol=0)
+    assert np.allclose(st.entries, np.eye(4) / 4, atol=0)
 
 
 def test_product_power_projector():
     dm = DensityMatrix(2, np.diag([1.0, 0.0]))
     st = product_power(dm, 2)
-    assert np.allclose(st.rho, np.diag([1.0, 0, 0, 0]), atol=0)
+    assert np.allclose(st.entries, np.diag([1.0, 0, 0, 0]), atol=0)
 
 
 def test_product_power_preserves_rank_one():
@@ -200,7 +212,7 @@ def test_product_power_preserves_rank_one():
     psi = haar_qubit(rng)
     dm = DensityMatrix(2, np.outer(psi, psi.conj()))
     st = product_power(dm, 3)
-    w = np.linalg.eigvalsh(st.rho)
+    w = np.linalg.eigvalsh(st.entries)
     assert np.sum(w > 1e-12) == 1
     assert abs(w[-1] - 1.0) < 1e-12
 
@@ -215,7 +227,7 @@ def test_power_vector_matches_density_power():
     rng = np.random.default_rng(227)
     psi = PureState(2, haar_qubit(rng))
     v = power_vector(psi, 3)
-    assert np.allclose(np.outer(v, v.conj()), pure_power(psi, 3).rho, atol=1e-15)
+    assert np.allclose(np.outer(v, v.conj()), pure_power(psi, 3).entries, atol=1e-15)
 
 
 # ------------------------------------------------------------- expectations
@@ -279,7 +291,7 @@ def test_variance_law():
         for n in (1, 2, 5, 8):
             f = frequency_operator(FREQ, n)
             shifted = f.entries - p * np.eye(2**n)
-            sq = Operator(f.space, shifted @ shifted, copy=False)
+            sq = Operator(f.space, shifted @ shifted)
             val = expect(pure_power(psi, n), sq)
             assert abs(val - p * (1 - p) / n) <= 1e-10
 
