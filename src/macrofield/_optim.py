@@ -30,7 +30,7 @@ from .linalg import DimensionOverflow
 
 N_STARTS = 32
 # steps of the batched ascent; a start stops once its step is below the tolerance
-VERTEX_ITERS = 500
+VERTEX_ITERS = 5000
 VERTEX_STEP_TOL = 1e-7
 # site cap of the multiset chart; a fit of three atoms there takes about 0.5 s
 # from the start and 4 s in the greedy rounds

@@ -13,11 +13,11 @@ simultaneous diagonalization). A start that is not an exact mixture of at
 most k_max atoms with positive weights is refused, and a conditional-gradient
 loop runs instead: each step adds the product power best correlated with
 the current residual, found by projected gradient ascent of that degree-n
-polynomial from 32 starts at once, re-solves the weights on the
-probability simplex, refines all atoms jointly by projected Gauss-Newton
-steps on the exact Jacobian of the coordinates, and merges atoms that
-collide. Low-weight atoms are retried without at the end; among
-numerically exact fits the one with fewer atoms wins.
+polynomial from 32 starts at once, solves the weights on the probability
+simplex exactly, refines all atoms jointly by projected Gauss-Newton steps
+on the exact Jacobian of the coordinates, and merges atoms that collide.
+Low-weight atoms are retried without at the end; among numerically exact
+fits the one with fewer atoms wins.
 field_of_states_check verifies that mixture expectations of symmetric
 sections do not move with n, on total-spin block diagonals where there are some.
 """
@@ -39,7 +39,7 @@ from ._optim import (
     project_ball,
 )
 from .linalg import (
-    DimensionOverflow, MacrofieldError, SiteSpace, SpaceMismatch, _rebuild, kron_power
+    DimensionOverflow, EigFailed, MacrofieldError, SiteSpace, SpaceMismatch, _rebuild, kron_power
 )
 from .sections import BadOrder, SymmetricSection, _irreps, _sweep, _unit_bands
 from .states import (
@@ -57,12 +57,10 @@ from .states import (
 MERGE_DELTA = 1e-2
 # atom cap of a mixture and of a fit's budget: at _optim.MAX_CHART_SITES the start
 # recovers that many atoms in about 0.6 s, the greedy rounds with a budget one
-# short of them take about 76 s; a field check of them up to 256 sites 3 s
+# short of them take about 30 s; a field check of them up to 256 sites 3 s
 MAX_ATOMS = 32
 # a round ends the fit if it gains less than this or leaves a residual below this
 IMPROVEMENT_TOL = 1e-9
-# projected-gradient steps of the simplex weight solve
-WEIGHT_ITERS = 500
 
 
 class NotSymmetric(MacrofieldError):
@@ -133,54 +131,10 @@ def mixture_state(mix: DiscreteMixture, n: int) -> NSiteState:
     return _rebuild(NSiteState, space, out)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    holds = np.nonzero(u * idx > css - 1.0)[0]
-    r = holds[-1] + 1
-    theta = (css[r - 1] - 1.0) / r
-    return np.maximum(v - theta, 0.0)
-
-
 def _best_vertex(c: np.ndarray, n: int) -> np.ndarray:
     """The Bloch point whose product power correlates best with c."""
     best, _ = maximize_on_ball(lambda blochs: _correlate(c, blochs, n))
     return best
-
-
-def _solve_weights(t: np.ndarray, powers: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """min ||t - w @ powers|| over the simplex by projected gradient, from
-    the projection of w0 onto the simplex."""
-    k = len(powers)
-    if k == 1:
-        return np.array([1.0])
-    g_mat = powers @ powers.T
-    c_vec = powers @ t
-
-    def cost(w: np.ndarray) -> float:
-        return float(w @ g_mat @ w - 2.0 * c_vec @ w)
-
-    w = _project_simplex(np.asarray(w0, dtype=float))
-    # 1 / Lipschitz constant of the gradient
-    step = 0.5 / max(float(np.linalg.eigvalsh(g_mat)[-1]), 1e-30)
-    fw = cost(w)
-    for _ in range(WEIGHT_ITERS):
-        grad = 2.0 * (g_mat @ w - c_vec)
-        s = step
-        w_new, f_new = w, fw
-        for _ in range(30):
-            cand = _project_simplex(w - s * grad)
-            f_cand = cost(cand)
-            if f_cand <= fw:
-                w_new, f_new = cand, f_cand
-                break
-            s *= 0.5
-        if f_new >= fw - 1e-18 and np.abs(w_new - w).max() < 1e-14:
-            w, fw = w_new, f_new
-            break
-        w, fw = w_new, f_new
-    return w
 
 
 def _merge_atoms(blochs: np.ndarray, weights: np.ndarray):
@@ -211,8 +165,8 @@ def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
     the linearized residual, halved until the squared residual falls at its
     Bloch points projected to the ball (projected Gauss-Newton); the loop
     ends when no halving helps, when a step gains at most 1e-14 of it, or
-    after 120 steps per atom. The raw weights only start the caller's simplex
-    solve, and the caller recomputes the residual before accepting anything.
+    after 120 steps per atom. Only the atoms are returned; the caller solves
+    their weights on the simplex and recomputes the residual.
     """
     k = len(blochs)
     x = np.concatenate([np.asarray(weights, dtype=float), np.ravel(blochs)])
@@ -239,30 +193,64 @@ def _refine(t: np.ndarray, n: int, blochs: np.ndarray, weights: np.ndarray):
         x, r = trial, c_r
         if cost - r @ r <= 1e-14 * cost:
             break
-    return x[k:].reshape(k, 3), x[:k]
+    return x[k:].reshape(k, 3)
 
 
-def _settle(t: np.ndarray, n: int, blochs: np.ndarray, w0: np.ndarray):
-    """Simplex weights of the atoms and the residual coordinates they leave."""
+def _settle(t: np.ndarray, n: int, blochs: np.ndarray):
+    """The simplex weights w minimizing ||t - w @ _powers(blochs, n)||, and
+    the residual coordinates they leave.
+
+    A primal active-set solve (Lawson and Hanson, Solving Least Squares
+    Problems, ch. 23) from the best single atom: each pass solves the KKT
+    system, only the sum constrained, on the support by lstsq (a singular
+    Gram serves). A weight that would go negative stops the move at the
+    first zero and leaves; otherwise the atom with the most negative
+    multiplier joins, until none is. The pass cap guards against cycling.
+    """
     powers = _powers(blochs, n)
-    w = _solve_weights(t, powers, w0)
-    return w, t - w @ powers
+    gram, corr = powers @ powers.T, powers @ t
+    k = len(gram)
+    # a multiplier below this is rounding of the products that form it
+    tol = 1e-13 * math.sqrt(gram.diagonal().max()) * float(np.linalg.norm(t))
+    w = np.zeros(k)
+    on = [int(np.argmin(gram.diagonal() - 2.0 * corr))]
+    w[on] = 1.0
+    for _ in range(4 * k + 4):
+        kkt = np.pad(gram[np.ix_(on, on)], (0, 1), constant_values=1.0)
+        kkt[-1, -1] = 0.0
+        z = np.linalg.lstsq(kkt, np.append(corr[on], 1.0), rcond=None)[0][:-1]
+        if (z <= 0.0).any():
+            old = w[on]
+            i = min(np.flatnonzero(z <= 0.0), key=lambda i: old[i] / (old[i] - z[i]))
+            w[on] = np.maximum(old + old[i] / (old[i] - z[i]) * (z - old), 0.0)
+            w[on.pop(i)] = 0.0
+            continue
+        w[on] = z
+        # minus the multipliers: P_j . r above its common value on the support
+        gain = corr - gram @ w
+        gain -= w @ gain
+        gain[on] = 0.0
+        j = int(np.argmax(gain))
+        if gain[j] <= tol:
+            return w, t - w @ powers
+        on.append(j)
+    raise EigFailed(f"simplex weight solve of {k} atoms cycled")
 
 
-def _round(t: np.ndarray, n: int, blochs: np.ndarray, w0: np.ndarray):
+def _round(t: np.ndarray, n: int, blochs: np.ndarray):
     """One fit round on the given atoms: solve the weights, refine up to 8
     atoms jointly and keep the refinement only if it is not worse, then
     merge colliding atoms and re-solve. Returns the atoms, the weights and
     the residual coordinates."""
-    w, r = _settle(t, n, blochs, w0)
+    w, r = _settle(t, n, blochs)
     if len(blochs) <= 8:
-        r_blochs, r_w = _refine(t, n, blochs, w)
-        r_w, r_r = _settle(t, n, r_blochs, r_w)
+        r_blochs = _refine(t, n, blochs, w)
+        r_w, r_r = _settle(t, n, r_blochs)
         if np.linalg.norm(r_r) <= np.linalg.norm(r):
             blochs, w, r = r_blochs, r_w, r_r
     merged, w = _merge_atoms(blochs, w)
     if len(merged) < len(blochs):
-        w, r = _settle(t, n, merged, w)
+        w, r = _settle(t, n, merged)
     return merged, w, r
 
 
@@ -393,7 +381,7 @@ def _fit(t: np.ndarray, n: int, k_max: int) -> FitResult:
     ran_out = True
     for _ in range(k_max):
         grown = np.vstack([atoms, _best_vertex(r, n)])
-        cand, cand_w, cand_r = _round(t, n, grown, np.append(weights, 0.0))
+        cand, cand_w, cand_r = _round(t, n, grown)
         resid = float(np.linalg.norm(cand_r))
         if len(atoms) and resid >= prev:
             # the round cannot improve; stop with the accepted state
@@ -414,7 +402,7 @@ def _fit(t: np.ndarray, n: int, k_max: int) -> FitResult:
     while len(atoms) > 1:
         floor = min(max(prev, 1e-9), history[-1])
         for idx in np.argsort(weights):
-            a2, w2, r2 = _round(t, n, np.delete(atoms, idx, axis=0), np.delete(weights, idx))
+            a2, w2, r2 = _round(t, n, np.delete(atoms, idx, axis=0))
             if np.linalg.norm(r2) <= floor:
                 atoms, weights, prev = a2, w2, float(np.linalg.norm(r2))
                 break

@@ -6,9 +6,10 @@ Run from the repository root:
 
 The cases are the jobs of every benchmark workload (bench/jobs.py) at seeds 1
 and 7, in JSON and CSV, plus a few runs at the ends of the block and count
-routes.  Each report is written with --no-timestamp.  cases.json maps each file
-to its command line and records the numpy and BLAS that wrote the files, so a
-mismatch on another machine can be read.  A change that moves a report reruns
+routes and two fits that take the greedy rounds.  Each report is written with
+--no-timestamp.  cases.json maps each file to its command line and records the
+numpy and BLAS that wrote the files, so a mismatch on another machine can be
+read.  A change that moves a report reruns
 this script and says which reports moved and by how much.
 """
 
@@ -39,6 +40,10 @@ REACH = {
                              "--section", "sym2(X,Z)", "--n", REACH_SITES],
     "born-converge": ["born-converge", "--psi", "0.8,0.6", "--n", COUNT_SITES],
     "window-mass": ["window-mass", "--psi", "0.8,0.6", "--n", COUNT_SITES],
+    # the start is refused at two sites and above the budget, so the greedy rounds fit
+    "definetti-fit_2_sites": ["definetti-fit", "--atoms", "0.6:0,0,1;0.4:1,0,0", "--sites", "2"],
+    "definetti-fit_k-max_2": ["definetti-fit", "--atoms", "0.4:0,0,1;0.3:0,0,-1;0.3:1,0,0",
+                              "--sites", "6", "--k-max", "2"],
 }
 
 

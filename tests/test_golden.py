@@ -1,7 +1,8 @@
 """Every golden report under tests/golden/ is reproduced byte for byte.
 
-The reports are the benchmark's jobs and a few runs at the ends of the block
-and count routes, written by tests/golden/write.py; this test only reads them.
+The reports are the benchmark's jobs, a few runs at the ends of the block and
+count routes and two greedy fits, written by tests/golden/write.py; this test
+only reads them.
 """
 
 from __future__ import annotations
