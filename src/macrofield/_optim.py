@@ -32,8 +32,8 @@ N_STARTS = 32
 # steps of the batched ascent; a start stops once its step is below the tolerance
 VERTEX_ITERS = 5000
 VERTEX_STEP_TOL = 1e-7
-# site cap of the multiset chart; a fit of three atoms there takes about 0.5 s
-# from the start and 4 s in the greedy rounds
+# site cap of the multiset chart; a fit of three atoms there takes about 0.35 s
+# from the start and 1.5 s in the greedy rounds
 MAX_CHART_SITES = 32
 
 

@@ -1,7 +1,9 @@
 """Experiment runner: one subcommand per experiment, CSV or JSON reports.
 
-Every run echoes its parsed configuration, so a report can be replayed
-bit-for-bit from its own header. Records are ordered by their leading key.
+A report's config header echoes every flag as parsed except --out and
+--no-timestamp; --n and the descriptors (--psi, --atoms, --section, --seed1,
+--seed2) echo their parsed values, so a report can be replayed bit-for-bit
+from its own header. Records are ordered by their leading key.
 Exit codes: 0 success, 2 bad input, 3 numerical failure.
 """
 
@@ -101,6 +103,8 @@ def _parse_n_list(text: str, cap: int) -> list[int]:
 
 
 def _parse_psi(text: str):
+    """Comma list of real amplitudes to a normalized state; the echo repeats
+    the parsed floats, so replaying it normalizes the same amplitudes."""
     import numpy as np
     from .states import PureState
     try:
@@ -116,7 +120,7 @@ def _parse_psi(text: str):
     norm = math.hypot(*vals)
     if norm <= 0.0:
         raise BadFlag("state amplitudes are all zero")
-    return PureState(len(vals), np.array(vals, dtype=np.complex128) / norm)
+    return PureState(len(vals), np.array(vals, dtype=np.complex128) / norm), vals
 
 
 def _parse_atoms(text: str):
@@ -164,13 +168,14 @@ def _clean(value):
 
 
 # ------------------------------------------------------------- subcommands
-# each handler returns (config echo, records, summary); the CSV columns are
-# the first record's keys, in order
+# each handler returns (parsed, records, summary): parsed holds the forms it
+# parsed out of descriptor flags, which replace the raw text in run()'s echo of
+# the flags; the CSV columns are the first record's keys, in order
 
 
 def _cmd_born_converge(args):
     from .macrolimit import MAX_COUNT_SITES, born_curve
-    psi = _parse_psi(args.psi)
+    psi, amplitudes = _parse_psi(args.psi)
     spec = _freq_spec(psi.d, args.lam)
     n_list = _parse_n_list(args.n, MAX_COUNT_SITES)
     born = float(abs(psi.amplitudes[args.lam]) ** 2)
@@ -179,13 +184,7 @@ def _cmd_born_converge(args):
         for n, v in born_curve(psi, spec, n_list)
     ]
     worst = max(r["abs_error"] for r in records)
-    config = {
-        "psi": [float(a.real) for a in psi.amplitudes],
-        "lambda": args.lam,
-        "n_list": n_list,
-        "tol": args.tol,
-    }
-    return config, records, {
+    return {"psi": amplitudes, "n_list": n_list}, records, {
         "max_abs_error": worst,
         "ok": worst <= args.tol,
     }
@@ -201,8 +200,8 @@ def _cmd_commutator_decay(args):
     recs = commutator_decay(s1, s2, n_list)
     records = list(map(asdict, recs))
     exponent = fit_decay_exponent(recs)
-    config = {"seed1": canon1, "seed2": canon2, "n_list": n_list}
-    return config, records, {"fitted_exponent": _clean(exponent)}
+    parsed = {"seed1": canon1, "seed2": canon2, "n_list": n_list}
+    return parsed, records, {"fitted_exponent": _clean(exponent)}
 
 
 def _cmd_norm_gap(args):
@@ -213,8 +212,7 @@ def _cmd_norm_gap(args):
     n_list = _parse_n_list(args.n, MAX_BLOCK_SITES)
     records = list(map(asdict, norm_gap(section, n_list)))
     gaps = [r["gap"] for r in records]
-    config = {"section": canon, "n_list": n_list}
-    return config, records, {
+    return {"section": canon, "n_list": n_list}, records, {
         "min_gap": min(gaps),
         "max_gap": max(gaps),
     }
@@ -223,17 +221,11 @@ def _cmd_norm_gap(args):
 def _cmd_window_mass(args):
     from dataclasses import asdict
     from .macrolimit import MAX_COUNT_SITES, window_mass
-    psi = _parse_psi(args.psi)
+    psi, amplitudes = _parse_psi(args.psi)
     spec = _freq_spec(psi.d, args.lam)
     n_list = _parse_n_list(args.n, MAX_COUNT_SITES)
     records = list(map(asdict, window_mass(psi, spec, n_list, args.epsilon)))
-    config = {
-        "psi": [float(a.real) for a in psi.amplitudes],
-        "lambda": args.lam,
-        "epsilon": args.epsilon,
-        "n_list": n_list,
-    }
-    return config, records, {
+    return {"psi": amplitudes, "n_list": n_list}, records, {
         "born": float(abs(psi.amplitudes[args.lam]) ** 2),
         "final_mass": records[-1]["mass"],
     }
@@ -252,14 +244,7 @@ def _cmd_slln_mc(args):
         "hit_fraction": float(report.hit_fraction),
         "hoeffding_bound": float(report.hoeffding_bound),
     }
-    config = {
-        "p": args.p,
-        "horizon": args.horizon,
-        "trials": args.trials,
-        "delta": args.delta,
-        "rng_seed": args.rng_seed,
-    }
-    return config, [record], {}
+    return {}, [record], {}
 
 
 def _cmd_boolean_check(args):
@@ -290,14 +275,7 @@ def _cmd_boolean_check(args):
             }
         )
     worst = max(r["abs_error"] for r in records)
-    config = {
-        "instances": args.instances,
-        "max_leaves": args.max_leaves,
-        "sites": args.sites,
-        "rng_seed": args.rng_seed,
-        "tol": args.tol,
-    }
-    return config, records, {"max_abs_error": worst, "ok": worst <= args.tol}
+    return {}, records, {"max_abs_error": worst, "ok": worst <= args.tol}
 
 
 def _cmd_definetti_fit(args):
@@ -316,8 +294,7 @@ def _cmd_definetti_fit(args):
         records.append(
             {"atom": idx, "weight": float(w), "x": b.x, "y": b.y, "z": b.z}
         )
-    config = {"atoms": canon, "sites": args.sites, "k_max": args.k_max}
-    return config, records, {
+    return {"atoms": canon}, records, {
         "residual": float(result.residual),
         "iterations": int(result.iterations),
         "budget_exhausted": bool(result.budget_exhausted),
@@ -336,8 +313,8 @@ def _cmd_field_check(args):
         for n, lhs, rhs in rows
     ]
     worst = max(r["abs_error"] for r in records)
-    config = {"atoms": canon, "section": canon_sec, "n_list": n_list, "tol": args.tol}
-    return config, records, {
+    parsed = {"atoms": canon, "section": canon_sec, "n_list": n_list}
+    return parsed, records, {
         "limit_value": records[0]["rhs"],
         "max_abs_error": worst,
         "ok": worst <= args.tol,
@@ -487,7 +464,7 @@ def run(argv=None) -> int:
     from .linalg import EigFailed, MacrofieldError
     started = time.perf_counter()
     try:
-        config, records, summary = _COMMANDS[args.command](args)
+        parsed, records, summary = _COMMANDS[args.command](args)
     except EigFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -495,11 +472,14 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    config["format"] = args.format
+    # every flag as parsed but --out and --no-timestamp, --lambda under its
+    # own name; descriptors and --n echo the forms their handler parsed
+    skip = ("command", "out", "no_timestamp", "n")
+    config = {"lambda" if k == "lam" else k: v for k, v in vars(args).items() if k not in skip}
     report = {
         "command": args.command,
         "version": __version__,
-        "config": config,
+        "config": config | parsed,
         "records": records,
     }
     if summary:

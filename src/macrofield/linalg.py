@@ -219,21 +219,18 @@ def _norm(e: np.ndarray) -> float:
     # spectral_norm of a bare square array, such as one total-spin block
     if _is_diagonal(e):
         return float(np.abs(np.diagonal(e)).max())
+    a = e.real if _is_real(e) else e
     try:
-        if _is_real(e):
-            r = e.real
-            if _defect(r, np.subtract) <= TOL_HERM:
-                return float(np.abs(np.linalg.eigvalsh(r)).max())
-            # one contiguous copy, released before the eigensolver copies g
-            c = np.ascontiguousarray(r)
-            g = c.T @ c
-            del c
-            return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
-        if _defect(e, np.subtract) <= TOL_HERM:
-            return float(np.abs(np.linalg.eigvalsh(e)).max())
-        if _defect(e, np.add) <= TOL_HERM:
-            return float(np.abs(np.linalg.eigvalsh(1j * e)).max())
-        g = e.conj().T @ e
+        if _defect(a, np.subtract) <= TOL_HERM:
+            return float(np.abs(np.linalg.eigvalsh(a)).max())
+        # real antisymmetric input, such as _commute of real blocks, takes the Gram route
+        if np.iscomplexobj(a) and _defect(a, np.add) <= TOL_HERM:
+            return float(np.abs(np.linalg.eigvalsh(1j * a)).max())
+        # one contiguous copy, released before the eigensolver copies g; the
+        # conjugate of a real array is the array itself
+        c = np.ascontiguousarray(a)
+        g = c.conj().T @ c
+        del c
         return float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
     except np.linalg.LinAlgError as err:
         raise EigFailed(str(err)) from err

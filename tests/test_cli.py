@@ -519,11 +519,13 @@ def test_bad_input_exits_2(argv):
 @pytest.mark.parametrize("psi", ["1e-200,1e-200", "1e200,1e200"])
 def test_psi_normalization_survives_tiny_and_huge_amplitudes(psi, capsys):
     # squaring these amplitudes would underflow to zero or overflow
-    echoes = []
+    records = []
     for text in ("1,1", psi):
         assert cli.run(["born-converge", "--psi", text, "--n", "1..2", "--no-timestamp"]) == 0
-        echoes.append(json.loads(capsys.readouterr().out)["config"]["psi"])
-    assert echoes[1] == echoes[0]
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["psi"] == [float(tok) for tok in text.split(",")]
+        records.append(report["records"])
+    assert records[1] == records[0]
 
 
 def test_help_exits_0():
