@@ -3,7 +3,9 @@
 A report's config header echoes every flag as parsed except --out and
 --no-timestamp; --n and the descriptors (--psi, --atoms, --section, --seed1,
 --seed2) echo their parsed values, so a report can be replayed bit-for-bit
-from its own header. Records are ordered by their leading key.
+from its own header. Records are ordered by their leading key. born-converge,
+boolean-check and field-check end their summary in a verdict: max_abs_error, the
+largest record abs_error, and ok, max_abs_error <= 1e-10 (1e-9 for field-check).
 Exit codes: 0 success, 2 bad input, 3 numerical failure.
 """
 
@@ -183,11 +185,7 @@ def _cmd_born_converge(args):
         {"n": int(n), "value": float(v), "born": born, "abs_error": abs(float(v) - born)}
         for n, v in born_curve(psi, spec, n_list)
     ]
-    worst = max(r["abs_error"] for r in records)
-    return {"psi": amplitudes, "n_list": n_list}, records, {
-        "max_abs_error": worst,
-        "ok": worst <= args.tol,
-    }
+    return {"psi": amplitudes, "n_list": n_list}, records, {}
 
 
 def _cmd_commutator_decay(args):
@@ -274,8 +272,7 @@ def _cmd_boolean_check(args):
                 "abs_error": abs(float(quantum) - float(classical)),
             }
         )
-    worst = max(r["abs_error"] for r in records)
-    return {}, records, {"max_abs_error": worst, "ok": worst <= args.tol}
+    return {}, records, {}
 
 
 def _cmd_definetti_fit(args):
@@ -312,13 +309,8 @@ def _cmd_field_check(args):
         {"n": n, "lhs": float(lhs), "rhs": float(rhs), "abs_error": abs(lhs - rhs)}
         for n, lhs, rhs in rows
     ]
-    worst = max(r["abs_error"] for r in records)
     parsed = {"atoms": canon, "section": canon_sec, "n_list": n_list}
-    return parsed, records, {
-        "limit_value": records[0]["rhs"],
-        "max_abs_error": worst,
-        "ok": worst <= args.tol,
-    }
+    return parsed, records, {"limit_value": records[0]["rhs"]}
 
 
 _COMMANDS = {
@@ -332,6 +324,9 @@ _COMMANDS = {
     "field-check": _cmd_field_check,
 }
 
+# each check's fixed tolerance; run() adds its verdict to the summary
+_CHECK_TOL = {"born-converge": 1e-10, "boolean-check": 1e-10, "field-check": 1e-9}
+
 
 # ---------------------------------------------------------------- plumbing
 
@@ -343,16 +338,6 @@ def _u64(text: str) -> int:
         raise argparse.ArgumentTypeError(f"bad seed {text!r}") from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"seed {value} outside the unsigned 64-bit range")
-    return value
-
-
-def _tol(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from None
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
     return value
 
 
@@ -377,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True, help="comma-separated real amplitudes, normalized")
     p.add_argument("--lambda", dest="lam", type=int, default=1, help="basis outcome index")
     p.add_argument("--n", default="1..10", help="site counts, lo..hi or comma list")
-    p.add_argument("--tol", type=_tol, default=1e-10, metavar="REAL")
 
     p = sub.add_parser("commutator-decay", parents=[common], help="commutator norm per n")
     p.add_argument("--seed1", required=True, help="section descriptor or bare letter")
@@ -406,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-leaves", dest="max_leaves", type=int, default=4)
     p.add_argument("--sites", type=int, default=6)
     p.add_argument("--rng-seed", type=_u64, default=0, metavar="U64")
-    p.add_argument("--tol", type=_tol, default=1e-10, metavar="REAL")
 
     p = sub.add_parser("definetti-fit", parents=[common], help="mixture recovery round trip")
     p.add_argument("--atoms", required=True, help="truth mixture, w:x,y,z;w:x,y,z")
@@ -417,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", required=True)
     p.add_argument("--section", required=True)
     p.add_argument("--n", default=None, help="defaults to seed order..8")
-    p.add_argument("--tol", type=_tol, default=1e-9, metavar="REAL")
 
     return parser
 
@@ -482,6 +464,9 @@ def run(argv=None) -> int:
         "config": config | parsed,
         "records": records,
     }
+    if args.command in _CHECK_TOL:
+        worst = max(r["abs_error"] for r in records)
+        summary |= {"max_abs_error": worst, "ok": worst <= _CHECK_TOL[args.command]}
     if summary:
         report["summary"] = summary
     if not args.no_timestamp:

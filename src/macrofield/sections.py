@@ -224,17 +224,21 @@ def spin_blocks(section: SymmetricSection, n: int) -> list[np.ndarray]:
 def _sweep(n_list, *sections: SymmetricSection | PerturbedSection) -> tuple[list[int], bool]:
     """The distinct n of a sweep in ascending order, and whether total-spin
     blocks serve every section (each a qubit SymmetricSection) rather than
-    dense matrices.  The least n is checked against the seed orders and the
-    largest against the route's cap before any n is built."""
+    dense matrices.  Sections on sites of different dimensions are refused;
+    then the least n is checked against the seed orders and the largest
+    against the route's cap, all before any n is built."""
+    d, *others = sorted({s.d for s in sections})
+    if others:
+        raise SpaceMismatch(f"sections on sites of dimensions {[d, *others]}")
     ns = sorted(set(int(n) for n in n_list))
-    blocks = all(isinstance(s, SymmetricSection) and s.d == 2 for s in sections)
+    blocks = d == 2 and all(isinstance(s, SymmetricSection) for s in sections)
     lo = max(s.m for s in sections)
     if ns and ns[0] < lo:
         raise BadOrder(f"n={ns[0]} below the seed order {lo}")
     if ns and blocks:
         _irreps(ns[-1], lo)
     elif ns:
-        SiteSpace(max(s.d for s in sections), ns[-1])
+        SiteSpace(d, ns[-1])
     return ns, blocks
 
 

@@ -492,15 +492,15 @@ def test_timestamp_appears_by_default():
         ("definetti-fit", "--atoms", "nan:0,0,1"),
         ("definetti-fit", "--atoms", "1:nan,0,0"),
         ("field-check", "--atoms", "nan:0,0,1", "--section", "avg(Z)", "--n", "1..3"),
-        # non-finite amplitudes and window; a tolerance must be finite and >= 0
+        # non-finite amplitudes and window
         ("born-converge", "--psi", "nan,1", "--n", "1..2"),
         ("born-converge", "--psi", "inf,1", "--n", "1..2"),
         ("window-mass", "--psi", "0.8,0.6", "--epsilon", "nan", "--n", "1..3"),
+        # each subcommand takes only the flags it reads
         ("born-converge", "--psi", "0.8,0.6", "--n", "1..2", "--tol", "nan"),
         ("boolean-check", "--instances", "2", "--tol", "-1"),
         ("field-check", "--atoms", "1.0:0,0,1", "--section", "avg(Z)", "--n", "1..3",
          "--tol", "inf"),
-        # each subcommand takes only the flags it reads
         ("norm-gap", "--section", "X", "--n", "2..4", "--tol", "1e-3"),
         ("born-converge", "--psi", "0.8,0.6", "--rng-seed", "1"),
         # both size inputs of boolean-check are capped
@@ -514,6 +514,54 @@ def test_bad_input_exits_2(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stderr.strip() != ""
+
+
+# each check's route, as its handler looks it up, and a short run of the check
+_CHECK_RUNS = {
+    "born-converge": (macrolimit, "born_curve", ["--psi", "0.8,0.6", "--n", "1..3"]),
+    "boolean-check": (stochastics, "quantum_classical_agreement", ["--instances", "3"]),
+    "field-check": (definetti, "field_of_states_check",
+                    ["--atoms", "1.0:0,0,1", "--section", "avg(Z)", "--n", "1..3"]),
+}
+
+
+def _check_report(command, capsys) -> dict:
+    assert cli.run([command, *_CHECK_RUNS[command][2], "--no-timestamp"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", sorted(_CHECK_RUNS))
+def test_verdict_fails_past_the_tables_tolerance(command, monkeypatch, capsys):
+    module, name, _ = _CHECK_RUNS[command]
+    route, tol = getattr(module, name), cli._CHECK_TOL[command]
+    calls = []
+
+    # the second record's value moves by twice the check's tolerance
+    def skewed(*args):
+        if command == "boolean-check":
+            calls.append(None)
+            quantum, classical = route(*args)
+            return quantum + (2 * tol if len(calls) == 2 else 0.0), classical
+        rows = route(*args)
+        n, value, *rest = rows[1]
+        rows[1] = (n, value + 2 * tol, *rest)
+        return rows
+
+    monkeypatch.setattr(module, name, skewed)
+    report = _check_report(command, capsys)
+    errors = [r["abs_error"] for r in report["records"]]
+    assert max(errors) == errors[1] > tol
+    assert report["summary"]["max_abs_error"] == errors[1]
+    assert report["summary"]["ok"] is False
+
+
+@pytest.mark.parametrize("command", sorted(_CHECK_RUNS))
+def test_verdict_passes_unpatched_and_echoes_no_tolerance(command, capsys):
+    report = _check_report(command, capsys)
+    worst = max(r["abs_error"] for r in report["records"])
+    assert report["summary"]["max_abs_error"] == worst <= cli._CHECK_TOL[command]
+    assert report["summary"]["ok"] is True
+    assert "tol" not in report["config"]
 
 
 @pytest.mark.parametrize("psi", ["1e-200,1e-200", "1e200,1e200"])

@@ -599,6 +599,13 @@ def test_dense_sweeps_refuse_past_4096_rows_before_the_first_n():
     assert_raises_before_allocating(DimensionOverflow, field_of_states_check, mix, q1, [7, 8])
 
 
+def test_sweeps_refuse_sections_of_different_site_dimensions_before_the_first_n():
+    # the commutator of a qubit and a qutrit section failed only after both
+    # dense matrices were built, the qutrit one 3^7 rows square
+    q = _qutrit_section(np.random.default_rng(5), 1)
+    assert_raises_before_allocating(SpaceMismatch, commutator_decay, avg_section(SX), q, [7])
+
+
 def _route_sweeps(route: str):
     """The sweeps of one route, each a function of the n list; the least n
     they admit; and the first n past the route's cap."""
